@@ -21,6 +21,17 @@ Status PatternLevelPpm::Initialize(const MechanismContext& context) {
       return Status::NotFound("private pattern id " + std::to_string(id) +
                               " not registered");
     }
+    // PublishWindow and the adaptive scorer index the per-type presence
+    // vector by element type, so every element must be a known type.
+    const Pattern& p = context.patterns->Get(id);
+    for (EventTypeId type : p.elements()) {
+      if (!context.event_types->Contains(type)) {
+        return Status::InvalidArgument(
+            "private pattern '" + p.name() + "' references event type " +
+            std::to_string(type) + " outside the " +
+            std::to_string(context.event_types->size()) + " registered types");
+      }
+    }
   }
 
   context_ = context;

@@ -62,8 +62,8 @@ class Backoff {
 
  private:
 #ifdef PLDP_MODEL_CHECK
-  // One model yield is a full "budget": parks and stall hooks become
-  // reachable within a handful of schedule points instead of 128.
+  // One model yield is a full "budget": parks become reachable within a
+  // handful of schedule points instead of 128.
   static constexpr int kSpinLimit = 1;
   static constexpr int kYieldLimit = 0;
 #else

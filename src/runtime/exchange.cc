@@ -131,6 +131,20 @@ Status ExchangeEmitter::Broadcast(uint64_t bound) {
   return BroadcastKey(ExchangeKey{bound, 0});
 }
 
+bool ExchangeEmitter::TryBroadcast(uint64_t bound) {
+  driver_role_.Assert();
+  const ExchangeKey key{bound, 0};
+  if (broadcast_any_ && key <= last_broadcast_) return true;
+  // This thread is the only pusher and the consumer only ever frees
+  // slots, so a free slot seen here is still free at the push: the
+  // BroadcastKey below cannot block.
+  for (const ExchangeLane* lane : row_) {
+    if (lane->queue.ApproxSize() >= lane->queue.capacity()) return false;
+  }
+  (void)BroadcastKey(key);
+  return true;
+}
+
 ExchangeEmitterStats ExchangeEmitter::stats() const {
   ExchangeEmitterStats s;
   // order: relaxed on all four; independent monotonic telemetry counters.

@@ -213,6 +213,12 @@ class ExchangeEmitter {
   /// behavior on a full queue is the same as Emit's.
   Status Broadcast(uint64_t bound);
 
+  /// Non-blocking Broadcast for the worker's idle path: sends
+  /// `watermark(bound)` only when every lane of the row has a free slot.
+  /// Returns false — nothing sent, dedup state unchanged — when some lane
+  /// is full; true when the bound was sent or is already covered.
+  bool TryBroadcast(uint64_t bound);
+
   ExchangeEmitterStats stats() const;
 
   /// Binds telemetry instruments. Must precede the owning shard's Start()

@@ -15,9 +15,9 @@
 //   * `thread_safety_producer_token_negative` — with
 //     -DPLDP_SEED_PRODUCER_TOKEN_VIOLATION. Seeds a read of a
 //     ThreadRole-confined member without asserting the role first — the
-//     exact mistake the MPSC ingest handles (IngestProducer) guard
-//     against: touching per-producer stamping state from a thread that
-//     never claimed the producer token. Also WILL_FAIL.
+//     exact mistake Shard's single-producer role (`producer_role_`) guards
+//     against: touching the pushing thread's stamping state from a thread
+//     that never claimed the producer token. Also WILL_FAIL.
 //
 // This file is NOT part of any build target; it is only ever syntax-checked.
 
@@ -48,32 +48,29 @@ class GuardedCounter {
   int value_ PLDP_GUARDED_BY(mu_) = 0;
 };
 
-/// Miniature of the MPSC ingest handle: per-producer stamping state is
-/// confined to the producer's thread by a ThreadRole token, not a mutex.
-/// Every public entry point asserts the role (the caller contract: "I am
-/// this handle's single driving thread"), which lets the analysis check
-/// the body and its callees against the confinement with zero runtime
-/// cost.
-class StridedStamper {
+/// Miniature of Shard's push path: the producer-side stamping state is
+/// confined to the single pushing thread by a ThreadRole token, not a
+/// mutex. Every push entry point asserts the role (the caller contract:
+/// "I am this shard's single producer thread"), which lets the analysis
+/// check the body and its callees against the confinement with zero
+/// runtime cost.
+class ProducerStamper {
  public:
   unsigned long long NextSeq() {
     role_.Assert();
-    const unsigned long long seq = seq_next_;
-    seq_next_ += stride_;
-    return seq;
+    return seq_next_++;
   }
 
 #if defined(PLDP_SEED_PRODUCER_TOKEN_VIOLATION)
   // Reads producer-confined state without asserting the producer token:
   // -Wthread-safety must reject this — it is exactly the cross-thread
-  // handle misuse the MPSC ingest contract forbids.
+  // misuse the single-producer push contract forbids.
   unsigned long long PeekSeq() { return seq_next_; }
 #endif
 
  private:
   ThreadRole role_;
   unsigned long long seq_next_ PLDP_GUARDED_BY(role_) = 0;
-  unsigned long long stride_ = 1;
 };
 
 // Odr-use the classes so the compiler fully checks them even at
@@ -81,7 +78,7 @@ class StridedStamper {
 int UseCounter() {
   GuardedCounter counter;
   counter.Increment();
-  StridedStamper stamper;
+  ProducerStamper stamper;
   return counter.Load() + static_cast<int>(stamper.NextSeq());
 }
 

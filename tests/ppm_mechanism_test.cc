@@ -88,6 +88,23 @@ TEST(PassthroughTest, InitializeValidatesContext) {
   EXPECT_TRUE(mech.Initialize(empty).IsInvalidArgument());
 }
 
+TEST(PatternLevelPpmTest, RejectsPrivatePatternWithUnknownType) {
+  // Type 5 is outside the 3 registered types: publishing would index the
+  // presence vector out of range, so Initialize must refuse eagerly.
+  auto world = MakeWorld(3);
+  AddPattern(&world, "bad", {0, 5}, DetectionMode::kSequence,
+             /*is_private=*/true, /*is_target=*/false);
+  AddPattern(&world, "target", {0, 1}, DetectionMode::kSequence,
+             /*is_private=*/false, /*is_target=*/true);
+  world.history.push_back(MakeWindow(0, {0, 1}));
+  for (const char* name : {"uniform", "adaptive"}) {
+    auto mech = MakeMechanism(name);
+    ASSERT_TRUE(mech.ok()) << name;
+    EXPECT_TRUE((*mech)->Initialize(world.Context()).IsInvalidArgument())
+        << name;
+  }
+}
+
 TEST(FactoryTest, CreatesEveryKnownMechanism) {
   for (const std::string& name : AllMechanismNames()) {
     auto m = MakeMechanism(name);

@@ -138,6 +138,11 @@ TEST(ParkingTest, IdleWorkersParkAndWakeOnPush) {
   ASSERT_TRUE(Eventually([&] { return TotalParks(engine) >= 2; }))
       << "idle workers never parked";
 
+  // Sampled while every worker is parked, so the count is stable: the
+  // woken worker may re-park before Drain returns, and a count taken after
+  // Drain would already include that re-park.
+  const size_t parks_before = TotalParks(engine);
+
   // A push into a parked pipeline must ring the worker awake; Drain then
   // proves the event was actually processed (a lost wakeup would leave
   // pushed > processed and Drain would hang past the ctest timeout).
@@ -146,7 +151,6 @@ TEST(ParkingTest, IdleWorkersParkAndWakeOnPush) {
   EXPECT_EQ(engine.events_processed(), 1u);
 
   // Park again, wake again — the escalation must re-arm after work.
-  const size_t parks_before = TotalParks(engine);
   ASSERT_TRUE(Eventually([&] { return TotalParks(engine) > parks_before; }))
       << "workers never re-parked after the first wake";
   ASSERT_TRUE(engine.OnEvent(Event(1, 1, 7)).ok());
