@@ -153,12 +153,12 @@ namespace {
 class SequenceIncrementalMatcher final : public IncrementalMatcher {
  public:
   SequenceIncrementalMatcher(Pattern pattern, Timestamp window)
-      : pattern_(std::move(pattern)), window_(window) {
+      : IncrementalMatcher(std::move(pattern)), window_(window) {
     Reset();
   }
 
   bool OnEvent(const Event& event) override {
-    const auto& elems = pattern_.elements();
+    const auto& elems = pattern().elements();
     const Timestamp t = event.timestamp();
     bool matched = false;
     // Walk prefixes from longest to shortest so one event does not advance
@@ -188,14 +188,13 @@ class SequenceIncrementalMatcher final : public IncrementalMatcher {
   }
 
   void Reset() override {
-    best_start_.assign(pattern_.length(), kNoRun);
+    best_start_.assign(pattern().length(), kNoRun);
     detections_.clear();
   }
 
  private:
   static constexpr Timestamp kNoRun = std::numeric_limits<Timestamp>::min();
 
-  Pattern pattern_;
   Timestamp window_;
   // best_start_[k]: latest possible start timestamp of a run that has
   // matched elements [0..k].
@@ -207,20 +206,28 @@ class SequenceIncrementalMatcher final : public IncrementalMatcher {
 class ConjunctionIncrementalMatcher final : public IncrementalMatcher {
  public:
   ConjunctionIncrementalMatcher(Pattern pattern, Timestamp window)
-      : pattern_(std::move(pattern)), window_(window) {
-    Reset();
+      : IncrementalMatcher(std::move(pattern)), window_(window) {
+    const std::vector<EventTypeId>& elems = this->pattern().elements();
+    types_.reserve(elems.size());
+    for (EventTypeId t : elems) {
+      if (std::find(types_.begin(), types_.end(), t) == types_.end()) {
+        types_.push_back(t);
+      }
+    }
+    last_seen_.assign(types_.size(), kNever);
   }
 
   bool OnEvent(const Event& event) override {
-    auto it = last_seen_.find(event.type());
-    if (it == last_seen_.end()) return false;
-    it->second = event.timestamp();
+    const auto it = std::find(types_.begin(), types_.end(), event.type());
+    if (it == types_.end()) return false;
+    const Timestamp t = event.timestamp();
+    last_seen_[static_cast<size_t>(it - types_.begin())] = t;
     // Detected iff every required type was seen within the trailing window.
-    for (const auto& [type, seen] : last_seen_) {
+    for (Timestamp seen : last_seen_) {
       if (seen == kNever) return false;
-      if (window_ > 0 && event.timestamp() - seen > window_) return false;
+      if (window_ > 0 && t - seen > window_) return false;
     }
-    detections_.push_back(event.timestamp());
+    detections_.push_back(t);
     return true;
   }
 
@@ -229,17 +236,18 @@ class ConjunctionIncrementalMatcher final : public IncrementalMatcher {
   }
 
   void Reset() override {
-    last_seen_.clear();
-    for (EventTypeId t : pattern_.DistinctTypes()) last_seen_[t] = kNever;
+    std::fill(last_seen_.begin(), last_seen_.end(), kNever);
     detections_.clear();
   }
 
  private:
   static constexpr Timestamp kNever = std::numeric_limits<Timestamp>::min();
 
-  Pattern pattern_;
   Timestamp window_;
-  std::unordered_map<EventTypeId, Timestamp> last_seen_;
+  // Distinct element types (first-seen order) and, at the same index, the
+  // latest timestamp each was seen at.
+  std::vector<EventTypeId> types_;
+  std::vector<Timestamp> last_seen_;
   std::vector<Timestamp> detections_;
 };
 
@@ -247,10 +255,10 @@ class ConjunctionIncrementalMatcher final : public IncrementalMatcher {
 class DisjunctionIncrementalMatcher final : public IncrementalMatcher {
  public:
   explicit DisjunctionIncrementalMatcher(Pattern pattern)
-      : pattern_(std::move(pattern)) {}
+      : IncrementalMatcher(std::move(pattern)) {}
 
   bool OnEvent(const Event& event) override {
-    if (!pattern_.ContainsType(event.type())) return false;
+    if (!pattern().ContainsType(event.type())) return false;
     detections_.push_back(event.timestamp());
     return true;
   }
@@ -262,21 +270,23 @@ class DisjunctionIncrementalMatcher final : public IncrementalMatcher {
   void Reset() override { detections_.clear(); }
 
  private:
-  Pattern pattern_;
   std::vector<Timestamp> detections_;
 };
 
 }  // namespace
 
-std::unique_ptr<IncrementalMatcher> MakeIncrementalMatcher(
-    const Pattern& pattern, Timestamp window) {
+std::unique_ptr<IncrementalMatcher> MakeIncrementalMatcher(Pattern pattern,
+                                                           Timestamp window) {
   switch (pattern.mode()) {
     case DetectionMode::kSequence:
-      return std::make_unique<SequenceIncrementalMatcher>(pattern, window);
+      return std::make_unique<SequenceIncrementalMatcher>(std::move(pattern),
+                                                          window);
     case DetectionMode::kConjunction:
-      return std::make_unique<ConjunctionIncrementalMatcher>(pattern, window);
+      return std::make_unique<ConjunctionIncrementalMatcher>(
+          std::move(pattern), window);
     case DetectionMode::kDisjunction:
-      return std::make_unique<DisjunctionIncrementalMatcher>(pattern);
+      return std::make_unique<DisjunctionIncrementalMatcher>(
+          std::move(pattern));
   }
   return nullptr;
 }

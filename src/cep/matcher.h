@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cep/pattern.h"
@@ -55,9 +56,18 @@ StatusOr<size_t> CountMatchesInWindow(const Window& window,
 /// and last element of one match (<= 0 means unbounded).
 class IncrementalMatcher {
  public:
+  explicit IncrementalMatcher(Pattern pattern) : pattern_(std::move(pattern)) {}
   virtual ~IncrementalMatcher() = default;
+  IncrementalMatcher(const IncrementalMatcher&) = delete;
+  IncrementalMatcher& operator=(const IncrementalMatcher&) = delete;
 
   /// Processes one event; returns true if a (new) match completed at it.
+  ///
+  /// Type contract: for an event whose type is not an element of
+  /// `pattern()`, OnEvent returns false and touches no state. The
+  /// streaming engine's event-type index (cep/streaming_engine.h) relies
+  /// on this to skip such calls altogether; every implementation must
+  /// keep it.
   virtual bool OnEvent(const Event& event) = 0;
 
   /// Matches detected so far (detection timestamps).
@@ -65,12 +75,18 @@ class IncrementalMatcher {
 
   /// Resets all partial state.
   virtual void Reset() = 0;
+
+  /// The pattern this matcher detects.
+  const Pattern& pattern() const { return pattern_; }
+
+ private:
+  Pattern pattern_;
 };
 
-/// Creates the incremental matcher appropriate for `pattern.mode()`.
-/// The returned matcher keeps a reference-independent copy of the pattern.
-std::unique_ptr<IncrementalMatcher> MakeIncrementalMatcher(
-    const Pattern& pattern, Timestamp window);
+/// Creates the incremental matcher appropriate for `pattern.mode()`. The
+/// matcher owns the pattern; pass an rvalue to avoid the copy.
+std::unique_ptr<IncrementalMatcher> MakeIncrementalMatcher(Pattern pattern,
+                                                           Timestamp window);
 
 }  // namespace pldp
 

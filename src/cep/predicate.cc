@@ -2,7 +2,6 @@
 
 #include "cep/predicate.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -25,24 +24,6 @@ std::string_view CompareOpToString(CompareOp op) {
       return ">=";
   }
   return "?";
-}
-
-void Predicate::EvalBatch(EventSpan events, uint64_t* mask) const {
-  // Scalar fallback, word-accumulated so overrides and the base agree on
-  // the exact mask layout. An erroring Eval maps to a clear bit (see the
-  // header contract).
-  const size_t words = (events.size() + 63) / 64;
-  size_t i = 0;
-  for (size_t w = 0; w < words; ++w) {
-    const size_t remaining = events.size() - w * 64;
-    const size_t limit = remaining < 64 ? remaining : 64;
-    uint64_t bits = 0;
-    for (size_t b = 0; b < limit; ++b, ++i) {
-      const StatusOr<bool> r = Eval(events[i]);
-      bits |= uint64_t{r.ok() && r.value()} << b;
-    }
-    mask[w] = bits;
-  }
 }
 
 namespace {
@@ -77,23 +58,6 @@ class TypeIsPredicate final : public Predicate {
 
   PLDP_HOT StatusOr<bool> Eval(const Event& event) const override {
     return event.type() == type_;
-  }
-
-  PLDP_HOT void EvalBatch(EventSpan events, uint64_t* mask) const override {
-    // One integer compare per event, no StatusOr and no virtual dispatch
-    // inside the loop — the shape the vectorizer wants.
-    const EventTypeId want = type_;
-    const size_t words = (events.size() + 63) / 64;
-    size_t i = 0;
-    for (size_t w = 0; w < words; ++w) {
-      const size_t remaining = events.size() - w * 64;
-      const size_t limit = remaining < 64 ? remaining : 64;
-      uint64_t bits = 0;
-      for (size_t b = 0; b < limit; ++b, ++i) {
-        bits |= uint64_t{events[i].type() == want} << b;
-      }
-      mask[w] = bits;
-    }
   }
 
   std::string ToString() const override {
@@ -293,55 +257,6 @@ PredicatePtr MakeOr(std::vector<PredicatePtr> operands) {
 
 PredicatePtr MakeNot(PredicatePtr operand) {
   return std::make_shared<NotPredicate>(std::move(operand));
-}
-
-TypeAnyOfPredicate::TypeAnyOfPredicate(std::vector<EventTypeId> types)
-    : sorted_(std::move(types)) {
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_.erase(std::unique(sorted_.begin(), sorted_.end()), sorted_.end());
-  if (!sorted_.empty()) max_type_ = sorted_.back();
-  if (max_type_ < (EventTypeId{1} << 16)) {
-    bits_.assign(static_cast<size_t>(max_type_) / 64 + 1, 0);
-    for (EventTypeId t : sorted_) {
-      bits_[t >> 6] |= uint64_t{1} << (t & 63);
-    }
-  }
-}
-
-StatusOr<bool> TypeAnyOfPredicate::Eval(const Event& event) const {
-  return Contains(event.type());
-}
-
-void TypeAnyOfPredicate::EvalBatch(EventSpan events, uint64_t* mask) const {
-  EvalTypesStrided(events.data(), sizeof(Event), events.size(), mask);
-}
-
-void TypeAnyOfPredicate::EvalTypesStrided(const Event* first,
-                                          size_t stride_bytes, size_t count,
-                                          uint64_t* mask) const {
-  const char* base = reinterpret_cast<const char*>(first);
-  const size_t words = (count + 63) / 64;
-  size_t i = 0;
-  for (size_t w = 0; w < words; ++w) {
-    const size_t remaining = count - w * 64;
-    const size_t limit = remaining < 64 ? remaining : 64;
-    uint64_t bits = 0;
-    for (size_t b = 0; b < limit; ++b, ++i) {
-      const Event* e =
-          reinterpret_cast<const Event*>(base + i * stride_bytes);
-      bits |= uint64_t{Contains(e->type())} << b;
-    }
-    mask[w] = bits;
-  }
-}
-
-std::string TypeAnyOfPredicate::ToString() const {
-  return StrFormat("type in {%zu types}", sorted_.size());
-}
-
-std::shared_ptr<const TypeAnyOfPredicate> MakeTypeAnyOf(
-    std::vector<EventTypeId> types) {
-  return std::make_shared<TypeAnyOfPredicate>(std::move(types));
 }
 
 }  // namespace pldp

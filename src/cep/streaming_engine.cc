@@ -2,7 +2,8 @@
 
 #include "cep/streaming_engine.h"
 
-#include <algorithm>
+#include <string>
+#include <utility>
 
 namespace pldp {
 
@@ -11,13 +12,26 @@ StatusOr<size_t> StreamingCepEngine::AddQuery(Pattern pattern,
   if (pattern.length() == 0) {
     return Status::InvalidArgument("query pattern must not be empty");
   }
-  auto matcher = MakeIncrementalMatcher(pattern, window);
+  for (EventTypeId type : pattern.elements()) {
+    if (type >= kMaxIndexedType) {
+      return Status::InvalidArgument("event type id " + std::to_string(type) +
+                                     " is beyond the type index");
+    }
+  }
+  auto matcher = MakeIncrementalMatcher(std::move(pattern), window);
   if (matcher == nullptr) {
     return Status::Internal("no matcher for detection mode");
   }
+  const auto q = static_cast<uint32_t>(matchers_.size());
+  for (EventTypeId type : matcher->pattern().elements()) {
+    if (type >= by_type_.size()) by_type_.resize(size_t{type} + 1);
+    std::vector<uint32_t>& queries = by_type_[type];
+    // A repeated element type (SEQ(a,a,b), AND(a,a)) is listed once: q is
+    // the largest query index so far, so it can only be at the back.
+    if (queries.empty() || queries.back() != q) queries.push_back(q);
+  }
   matchers_.push_back(std::move(matcher));
-  patterns_.push_back(std::move(pattern));
-  return matchers_.size() - 1;
+  return size_t{q};
 }
 
 StatusOr<std::vector<Timestamp>> StreamingCepEngine::DetectionsOf(
@@ -29,17 +43,6 @@ StatusOr<std::vector<Timestamp>> StreamingCepEngine::DetectionsOf(
   return matchers_[query_index]->detections();
 }
 
-std::vector<EventTypeId> StreamingCepEngine::RelevantEventTypes() const {
-  std::vector<EventTypeId> types;
-  for (const Pattern& pattern : patterns_) {
-    const std::vector<EventTypeId>& elements = pattern.elements();
-    types.insert(types.end(), elements.begin(), elements.end());
-  }
-  std::sort(types.begin(), types.end());
-  types.erase(std::unique(types.begin(), types.end()), types.end());
-  return types;
-}
-
 void StreamingCepEngine::ResetState() {
   for (auto& m : matchers_) m->Reset();
   total_detections_ = 0;
@@ -48,7 +51,9 @@ void StreamingCepEngine::ResetState() {
 
 Status StreamingCepEngine::OnEvent(const Event& event) {
   ++events_processed_;
-  for (size_t q = 0; q < matchers_.size(); ++q) {
+  const EventTypeId type = event.type();
+  if (type >= by_type_.size()) return Status::OK();
+  for (const uint32_t q : by_type_[type]) {
     if (matchers_[q]->OnEvent(event)) {
       ++total_detections_;
       if (callback_) {

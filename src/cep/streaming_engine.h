@@ -2,8 +2,17 @@
 //
 // Online CEP engine: the production-style counterpart to the window-batch
 // evaluation path. It subscribes to a stream replay (stream/replay.h) and
-// feeds every event to one incremental matcher per registered query,
-// emitting detections the moment they complete — no window materialization.
+// feeds each event to the incremental matchers of the queries whose
+// pattern references its type, emitting detections the moment they
+// complete — no window materialization.
+//
+// Dispatch goes through an event-type index (the classic CEP filter
+// index, as in SASE): AddQuery appends the query to the list of each
+// distinct element type, and OnEvent walks only the list of the event's
+// type, in ascending query order — the same callback order as
+// offering the event to every matcher, because a matcher ignores types
+// outside its pattern (the IncrementalMatcher type contract, matcher.h).
+// An event whose type no query references costs one table lookup.
 //
 // The window-batch engine (engine.h) is what the paper's evaluation uses
 // (per-window binary answers); this engine exists because a deployed
@@ -20,6 +29,7 @@
 #ifndef PLDP_CEP_STREAMING_ENGINE_H_
 #define PLDP_CEP_STREAMING_ENGINE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -50,6 +60,8 @@ class StreamingCepEngine : public StreamSubscriber {
 
   /// Registers a continuous query: detect `pattern` with all elements within
   /// `window` time units (<= 0: unbounded). Returns the query index.
+  /// InvalidArgument for an empty pattern or an element type id of 2^20
+  /// or more.
   StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
 
   /// Registers a detection callback (called synchronously from OnEvent).
@@ -68,12 +80,6 @@ class StreamingCepEngine : public StreamSubscriber {
   /// Number of events ingested.
   size_t events_processed() const { return events_processed_; }
 
-  /// Sorted distinct union of the event types any registered pattern
-  /// references. An event whose type is absent from this set is a no-op
-  /// for every matcher — the contract the shard pop loop's batch
-  /// prefilter (cep/predicate.h TypeAnyOfPredicate) relies on.
-  std::vector<EventTypeId> RelevantEventTypes() const;
-
   /// Clears all matcher state and counters (queries stay registered).
   void ResetState();
 
@@ -81,8 +87,16 @@ class StreamingCepEngine : public StreamSubscriber {
   Status OnEvent(const Event& event) override;
 
  private:
+  /// Type ids are dense registry ids; one far beyond any registry (e.g.
+  /// kInvalidEventType) would size the index table absurdly, so AddQuery
+  /// refuses it.
+  static constexpr EventTypeId kMaxIndexedType = EventTypeId{1} << 20;
+
   std::vector<std::unique_ptr<IncrementalMatcher>> matchers_;
-  std::vector<Pattern> patterns_;
+  /// Event-type index: by_type_[t] lists, ascending, the queries whose
+  /// pattern names type t; the table is as long as the largest
+  /// referenced id.
+  std::vector<std::vector<uint32_t>> by_type_;
   DetectionCallback callback_;
   size_t total_detections_ = 0;
   size_t events_processed_ = 0;

@@ -128,7 +128,12 @@ template <typename T>
 class ShadowRaceCell {
  public:
   ShadowRaceCell() = default;
-  explicit ShadowRaceCell(T v) : value_(std::move(v)) {}
+  // A value-constructed cell is a write: the SPSC ring constructs its
+  // slots on the producer's first lap, and the consumer's read of such a
+  // slot must be race-checked like any later-lap assignment.
+  explicit ShadowRaceCell(T v) : value_(std::move(v)) {
+    internal::RaceWrite(race_);
+  }
   ShadowRaceCell(const ShadowRaceCell&) = delete;
   ShadowRaceCell& operator=(const ShadowRaceCell&) = delete;
   ShadowRaceCell(ShadowRaceCell&& o) : value_(std::move(o.value_)) {}

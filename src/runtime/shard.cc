@@ -4,7 +4,6 @@
 
 #include <utility>
 
-#include "cep/predicate.h"
 #include "common/logging.h"
 #include "runtime/affinity.h"
 #include "runtime/backoff.h"
@@ -365,8 +364,7 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
 }
 
 void Shard::ProcessOne(const StampedEvent& stamped,
-                       const std::vector<ExchangeHookRef>& hooks,
-                       bool engine_relevant) {
+                       const std::vector<ExchangeHookRef>& hooks) {
   // One exchange trigger scope per event and per lane-group: everything
   // emitted while processing it — raw forwards and sink-driven output
   // alike — is stamped (seq, 0), (seq, 1), ... independently on every
@@ -376,10 +374,7 @@ void Shard::ProcessOne(const StampedEvent& stamped,
   }
   // The engine's status is always OK today (OnEvent cannot fail); if
   // a future engine surfaces errors we will carry them to Drain().
-  // `engine_relevant` is the batch prefilter's verdict: an event whose
-  // type no pattern references is a matcher no-op, so the call is skipped
-  // wholesale (pinned equivalent by the EvalBatch fixed-seed tests).
-  if (engine_relevant) (void)engine_.OnEvent(stamped.event);
+  (void)engine_.OnEvent(stamped.event);
   if (sink_ != nullptr) sink_->OnShardEvent(stamped.event);
   for (const ExchangeHookRef& hook : hooks) {
     if (hook.forward_raw_events) (void)hook.emitter->Emit(stamped.event);
@@ -395,12 +390,6 @@ void Shard::RunLoop() {
   // shard runs, so the list is frozen and the per-event path stays off
   // the registration mutex.
   const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
-  // Engine-relevance prefilter: one vectorizable type-compare pass per pop
-  // burst replaces a per-event engine dispatch for every event whose type
-  // no registered pattern references (cep/predicate.h).
-  const std::shared_ptr<const TypeAnyOfPredicate> prefilter =
-      MakeTypeAnyOf(engine_.RelevantEventTypes());
-  uint64_t relevance[kPopBatch / 64];
   // Sequence bound of the last idle watermark this loop broadcast — the
   // park predicate watches the producer floor against it.
   uint64_t last_idle_bound = 0;
@@ -409,15 +398,11 @@ void Shard::RunLoop() {
     if (n > 0) {
       backoff.Reset();
       if (obs_.batch_size) obs_.batch_size->Record(n);
-      prefilter->EvalTypesStrided(&batch[0].event, sizeof(StampedEvent), n,
-                                  relevance);
       // Chained clock reads: one MonotonicNowNs per event, each delta is
       // that event's full processing latency (engine + sink + exchange).
       uint64_t t_prev = obs_.process_latency_ns ? obs::MonotonicNowNs() : 0;
       for (size_t i = 0; i < n; ++i) {
-        const bool relevant =
-            ((relevance[i >> 6] >> (i & 63)) & uint64_t{1}) != 0;
-        ProcessOne(batch[i], hooks, relevant);
+        ProcessOne(batch[i], hooks);
         if (obs_.process_latency_ns) {
           const uint64_t t_now = obs::MonotonicNowNs();
           obs_.process_latency_ns->Record(t_now - t_prev);

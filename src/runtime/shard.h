@@ -298,13 +298,9 @@ class Shard {
   void RunLoop() PLDP_REQUIRES(worker_role_);
   /// Delivers one event to the engine, the sink, and every exchange hook —
   /// the per-event section of the worker loop (also used by Stop's
-  /// post-join leftover absorption, under the role handoff). When
-  /// `engine_relevant` is false the engine call is skipped (the batch
-  /// prefilter proved no pattern references this event's type); the sink,
-  /// raw forwards, and ordering bookkeeping are unconditional.
+  /// post-join leftover absorption, under the role handoff).
   PLDP_HOT void ProcessOne(const StampedEvent& stamped,
-                           const std::vector<ExchangeHookRef>& hooks,
-                           bool engine_relevant = true)
+                           const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);
   void ExecuteCommand(const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);

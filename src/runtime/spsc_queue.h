@@ -15,6 +15,14 @@
 // side's index so the common fast path touches only its own cache line
 // (the classic Lamport queue + cached-index refinement).
 //
+// Slots are constructed lazily, as in folly's ProducerConsumerQueue: the
+// constructor only allocates raw storage, the producer placement-
+// constructs slot i the first time its tail reaches i (the first lap) and
+// move-assigns into it on every later lap, and the destructor destroys
+// the min(tail, capacity) slots that were ever constructed. Building a
+// queue therefore writes none of its memory: a runtime sized for bursts
+// pays page faults only for the slots its traffic actually reaches.
+//
 // The index handoff (push/pop vs pop-empty/push-full races, including the
 // slot payload's visibility through the release/acquire pair) is
 // machine-checked by tests/check/check_spsc_test.cc; its negative twin
@@ -25,8 +33,8 @@
 #define PLDP_RUNTIME_SPSC_QUEUE_H_
 
 #include <cstddef>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/atomic.h"
 #include "common/thread_annotations.h"
@@ -51,8 +59,8 @@ constexpr size_t NextPowerOfTwo(size_t n) {
 /// allocation.
 inline constexpr size_t kMaxSpscCapacity = size_t{1} << 20;
 
-/// Fixed-capacity wait-free SPSC queue. `T` must be default-constructible
-/// and movable. Not safe for more than one producer or consumer thread.
+/// Fixed-capacity wait-free SPSC queue. `T` must be move-constructible and
+/// move-assignable. Not safe for more than one producer or consumer thread.
 template <typename T>
 class SpscQueue {
  public:
@@ -63,7 +71,15 @@ class SpscQueue {
       : mask_(NextPowerOfTwo(capacity < kMaxSpscCapacity ? capacity
                                                          : kMaxSpscCapacity) -
               1),
-        slots_(mask_ + 1) {}
+        slots_(std::allocator<Slot>().allocate(mask_ + 1)) {}
+
+  ~SpscQueue() {
+    // order: relaxed; destruction is externally ordered after both sides
+    // finished, and only slots below the final tail were ever constructed.
+    const size_t tail = tail_.load(std::memory_order_relaxed);
+    std::destroy_n(slots_, tail < capacity() ? tail : capacity());
+    std::allocator<Slot>().deallocate(slots_, capacity());
+  }
 
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
@@ -81,7 +97,7 @@ class SpscQueue {
       cached_head_ = head_.load(std::memory_order_acquire);
       if (tail - cached_head_ > mask_) return false;
     }
-    slots_[tail & mask_] = std::move(value);
+    Fill(tail, std::move(value));
     // order: release publishes the slot write above to the consumer's
     // acquire load of tail_.
     tail_.store(tail + 1, kTailPublishOrder);
@@ -109,9 +125,7 @@ class SpscQueue {
       free = capacity() - (tail - cached_head_);
     }
     const size_t n = count < free ? count : free;
-    for (size_t i = 0; i < n; ++i) {
-      slots_[(tail + i) & mask_] = std::move(items[i]);
-    }
+    for (size_t i = 0; i < n; ++i) Fill(tail + i, std::move(items[i]));
     if (n > 0) {
       // order: release publishes the whole burst of slot writes at once.
       tail_.store(tail + n, kTailPublishOrder);
@@ -179,6 +193,21 @@ class SpscQueue {
  private:
   static constexpr size_t kCacheLine = 64;
 
+  // RaceCell is plain T in normal builds; under PLDP_MODEL_CHECK every
+  // slot access (first-lap construction included) is vector-clock checked
+  // against the chosen schedule.
+  using Slot = RaceCell<T>;
+
+  /// Producer-side slot write for absolute position `pos`: first-lap
+  /// positions are raw storage and get constructed, later laps assign.
+  PLDP_HOT void Fill(size_t pos, T&& value) {
+    if (pos <= mask_) {
+      ::new (static_cast<void*>(slots_ + pos)) Slot(std::move(value));
+    } else {
+      slots_[pos & mask_] = std::move(value);
+    }
+  }
+
 #ifdef PLDP_CHECK_NEGATIVE_SPSC
   // Seeded mutation for the model checker's negative suite: publishing
   // the tail with relaxed ordering lets the consumer observe the new
@@ -192,9 +221,7 @@ class SpscQueue {
 #endif
 
   const size_t mask_;
-  // RaceCell is plain T in normal builds; under PLDP_MODEL_CHECK every
-  // slot access is vector-clock checked against the chosen schedule.
-  std::vector<RaceCell<T>> slots_;
+  Slot* const slots_;  ///< capacity() slots of storage, see header comment
 
   // Producer-owned line: its index plus a cache of the consumer's.
   alignas(kCacheLine) Atomic<size_t> tail_{0};

@@ -4,7 +4,8 @@
 // one consumer racing push against pop through the real TryPush/TryPop /
 // TryPushN/TryPopN code, with the checker branching over every stale
 // index read coherence allows. The properties: no data race on the
-// payload slots (RaceCell vector-clock check), values arrive in order,
+// payload slots (RaceCell vector-clock check, covering both the first-lap
+// slot construction and later-lap assignment), values arrive in order,
 // and nothing is lost or duplicated.
 //
 // Compiled twice by CMake: the plain binary asserts the checker exhausts
@@ -14,6 +15,7 @@
 // race — the machine-checked version of the release/acquire pairing
 // argument in the header's protocol comment.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -31,13 +33,20 @@ using check::ModelSpawn;
 using check::ModelYieldSpin;
 using check::RunModel;
 
-// Push kItems through a capacity-2 ring one element at a time. Small on
-// purpose: every extra element multiplies the DFS schedule space.
+// Push kItems through a ring one element at a time. Small on purpose:
+// every extra element multiplies the DFS schedule space.
 constexpr int kItems = 3;
 
-ModelResult RunSingleElementHarness(ModelConfig cfg) {
-  return RunModel(cfg, [] {
-    auto q = std::make_unique<SpscQueue<int>>(2);
+// Capacity 2 wraps, so the third push assigns into a slot the consumer
+// freed; capacity 4 never leaves the first lap, so every push is a
+// placement construction of raw storage — the lazy-slot path.
+constexpr size_t kWrappingCapacity = 2;
+constexpr size_t kFirstLapCapacity = 4;
+
+ModelResult RunSingleElementHarness(ModelConfig cfg,
+                                    size_t capacity = kWrappingCapacity) {
+  return RunModel(cfg, [capacity] {
+    auto q = std::make_unique<SpscQueue<int>>(capacity);
     auto sum = std::make_unique<int>(0);
     int producer = ModelSpawn("producer", [&] {
       for (int v = 1; v <= kItems; ++v) {
@@ -114,6 +123,17 @@ TEST(SpscModel, BatchExhaustsClean) {
   EXPECT_TRUE(r.exhausted);
 }
 
+// A first-lap slot is constructed, not assigned; the construction must be
+// ordered before the consumer's read exactly like a later-lap write.
+TEST(SpscModel, FirstLapConstructionExhaustsClean) {
+  ModelConfig cfg;
+  cfg.name = "spsc-first-lap";
+  cfg.preemption_bound = 2;
+  ModelResult r = RunSingleElementHarness(cfg, kFirstLapCapacity);
+  EXPECT_FALSE(r.failed) << r.report;
+  EXPECT_TRUE(r.exhausted);
+}
+
 // Random-walk soak beyond the DFS preemption bound; CI deepens this via
 // PLDP_MODEL_RANDOM_ITERS without a recompile.
 TEST(SpscModel, RandomWalkClean) {
@@ -150,6 +170,18 @@ TEST(SpscModelNegative, CheckerCatchesWeakTailPublishBatch) {
   ModelResult r = RunBatchHarness(cfg);
   EXPECT_TRUE(r.failed)
       << "seeded relaxed tail publish (batch) was NOT caught";
+}
+
+// With no lap completed, every slot write is a placement construction:
+// the checker must still see the payload race, i.e. a constructed slot is
+// a race-checked write too.
+TEST(SpscModelNegative, CheckerCatchesWeakTailPublishFirstLap) {
+  ModelConfig cfg;
+  cfg.name = "spsc-weak-tail-first-lap";
+  cfg.preemption_bound = 2;
+  ModelResult r = RunSingleElementHarness(cfg, kFirstLapCapacity);
+  EXPECT_TRUE(r.failed)
+      << "seeded relaxed tail publish (first lap) was NOT caught";
 }
 
 #endif  // PLDP_CHECK_NEGATIVE_SPSC

@@ -1,8 +1,8 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Tests for the runtime's SPSC ring buffer: single-threaded semantics
-// (FIFO, capacity, wraparound, move-only payloads) and correctness under a
-// real producer/consumer thread pair.
+// (FIFO, capacity, wraparound, move-only payloads, lazy slot lifetime) and
+// correctness under a real producer/consumer thread pair.
 
 #include "runtime/spsc_queue.h"
 
@@ -137,6 +137,77 @@ TEST(SpscQueueTest, BulkProducerConsumerThreadPairPreservesSequence) {
   }
   producer.join();
   EXPECT_TRUE(q.ApproxEmpty());
+}
+
+// Payload that counts live instances: constructions minus destructions.
+// The queue constructs slots lazily (first lap only), so every slot it
+// constructed must be destroyed exactly once, whenever it is torn down.
+struct Counted {
+  static inline int live = 0;
+  int value = 0;
+  Counted() { ++live; }
+  explicit Counted(int v) : value(v) { ++live; }
+  Counted(Counted&& other) noexcept : value(other.value) { ++live; }
+  Counted& operator=(Counted&& other) noexcept {
+    value = other.value;
+    return *this;
+  }
+  ~Counted() { --live; }
+};
+
+TEST(SpscQueueTest, LazySlotsBalanceWhenDestroyedInFirstLap) {
+  const int base = Counted::live;
+  {
+    SpscQueue<Counted> q(8);
+    EXPECT_EQ(Counted::live, base);  // construction touches no slot
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.TryPush(Counted(i)));
+    EXPECT_EQ(Counted::live, base + 3);  // one slot per first-lap push
+    Counted out;
+    ASSERT_TRUE(q.TryPop(out));
+    EXPECT_EQ(out.value, 0);
+    // A popped slot stays constructed (moved-from) until the queue dies.
+    EXPECT_EQ(Counted::live, base + 4);
+  }
+  EXPECT_EQ(Counted::live, base);
+}
+
+TEST(SpscQueueTest, LazySlotsBalanceWhenDestroyedAfterWrapping) {
+  const int base = Counted::live;
+  {
+    SpscQueue<Counted> q(4);
+    Counted out;
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(q.TryPush(Counted(i)));
+      ASSERT_TRUE(q.TryPop(out));
+      ASSERT_EQ(out.value, i);
+    }
+    // Later laps assign into existing slots: exactly capacity() remain.
+    EXPECT_EQ(Counted::live, base + 1 + 4);
+    ASSERT_TRUE(q.TryPush(Counted(10)));  // leave one item queued
+    EXPECT_EQ(Counted::live, base + 1 + 4);
+  }
+  EXPECT_EQ(Counted::live, base);
+}
+
+TEST(SpscQueueTest, LazySlotsBalanceWhenBulkPushCrossesFirstLap) {
+  const int base = Counted::live;
+  {
+    SpscQueue<Counted> q(4);
+    Counted in[3];
+    Counted out[4];
+    const int held = base + 3 + 4;  // the caller's own arrays
+    for (int i = 0; i < 3; ++i) in[i].value = i;
+    ASSERT_EQ(q.TryPushN(in, 3), 3u);
+    EXPECT_EQ(Counted::live, held + 3);
+    ASSERT_EQ(q.TryPopN(out, 2), 2u);
+    // Positions 3, 4, 5: slot 3 is constructed, slots 0 and 1 reassigned.
+    for (int i = 0; i < 3; ++i) in[i].value = 3 + i;
+    ASSERT_EQ(q.TryPushN(in, 3), 3u);
+    EXPECT_EQ(Counted::live, held + 4);
+    ASSERT_EQ(q.TryPopN(out, 4), 4u);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i].value, 2 + i);
+  }
+  EXPECT_EQ(Counted::live, base);
 }
 
 TEST(SpscQueueTest, FifoOrderSingleThreaded) {

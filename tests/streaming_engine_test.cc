@@ -1,13 +1,20 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Tests for the online CEP engine, including the equivalence property
-// against the window-batch path on tumbling windows.
+// against the window-batch path on tumbling windows and the event-type
+// index against a brute-force loop over every matcher.
 
 #include "cep/streaming_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "cep/engine.h"
+#include "cep/matcher.h"
 #include "common/random.h"
 #include "stream/window.h"
 
@@ -136,6 +143,80 @@ TEST_P(StreamVsBatchSweep, TumblingWindowDetectionAgrees) {
 
 INSTANTIATE_TEST_SUITE_P(RandomStreams, StreamVsBatchSweep,
                          ::testing::Range<uint64_t>(0, 30));
+
+TEST(StreamingEngineTest, RefusesTypeIdBeyondTheIndex) {
+  StreamingCepEngine engine;
+  EXPECT_TRUE(engine.AddQuery(Seq({0, kInvalidEventType}), 10)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(engine.query_count(), 0u);
+}
+
+/// Index equivalence: the type-indexed engine must emit exactly the
+/// (query_index, at) sequence of the brute-force loop that offers every
+/// event to every matcher in query order. The query set overlaps on
+/// purpose: type 0 is in most queries, elements repeat (SEQ(a,a,b),
+/// AND(a,a)), all three modes mix, and the stream carries types no query
+/// references, including one past the end of the index table.
+class IndexVsBruteForceSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexVsBruteForceSweep, IdenticalDetectionSequence) {
+  Rng rng(GetParam());
+  constexpr EventTypeId kQueryTypes = 5;  // queries use 0..4 only
+  const DetectionMode kModes[] = {DetectionMode::kSequence,
+                                  DetectionMode::kConjunction,
+                                  DetectionMode::kDisjunction};
+  std::vector<std::pair<Pattern, Timestamp>> queries = {
+      {Seq({0, 0, 1}), 8},
+      {Pattern::Create("and", {0, 0}, DetectionMode::kConjunction).value(),
+       4},
+      {Pattern::Create("or", {2, 0}, DetectionMode::kDisjunction).value(),
+       0},
+      {Seq({0}), 0},
+  };
+  for (int i = 0; i < 12; ++i) {
+    std::vector<EventTypeId> elems;
+    const size_t len = 1 + rng.UniformUint64(4);
+    for (size_t j = 0; j < len; ++j) {
+      elems.push_back(static_cast<EventTypeId>(rng.UniformUint64(kQueryTypes)));
+    }
+    const DetectionMode mode = kModes[rng.UniformUint64(3)];
+    const auto window = static_cast<Timestamp>(rng.UniformUint64(12));
+    queries.emplace_back(Pattern::Create("q", elems, mode).value(), window);
+  }
+
+  StreamingCepEngine engine;
+  std::vector<std::unique_ptr<IncrementalMatcher>> brute;
+  for (const auto& [pattern, window] : queries) {
+    ASSERT_TRUE(engine.AddQuery(pattern, window).ok());
+    brute.push_back(MakeIncrementalMatcher(pattern, window));
+  }
+  std::vector<std::pair<size_t, Timestamp>> indexed;
+  engine.SetCallback([&indexed](const StreamingDetection& d) {
+    indexed.emplace_back(d.query_index, d.at);
+  });
+
+  std::vector<std::pair<size_t, Timestamp>> expected;
+  Timestamp ts = 0;
+  for (int i = 0; i < 2000; ++i) {
+    ts += static_cast<Timestamp>(rng.UniformUint64(3));  // ties included
+    // Types 5..7 and 1000 are referenced by no query.
+    EventTypeId type = static_cast<EventTypeId>(rng.UniformUint64(8));
+    if (rng.UniformUint64(50) == 0) type = 1000;
+    const Event e(type, ts);
+    ASSERT_TRUE(engine.OnEvent(e).ok());
+    for (size_t q = 0; q < brute.size(); ++q) {
+      if (brute[q]->OnEvent(e)) expected.emplace_back(q, ts);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(indexed, expected) << "seed=" << GetParam();
+  EXPECT_EQ(engine.total_detections(), expected.size());
+  EXPECT_EQ(engine.events_processed(), 2000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomQuerySets, IndexVsBruteForceSweep,
+                         ::testing::Range<uint64_t>(0, 20));
 
 }  // namespace
 }  // namespace pldp
