@@ -22,7 +22,7 @@
 //                                           event type simultaneously)
 //   private queries                      -> ParallelPrivateEngine lane
 //                                           (per-subject windows, one
-//                                           mechanism instance per subject;
+//                                           mechanism clone per subject;
 //                                           private cross queries ride a
 //                                           protected-view exchange)
 //
@@ -452,7 +452,10 @@ class PipelineBuilder {
   PipelineBuilder& WithEpsilon(double epsilon);
   /// Mechanism by registry name ("uniform", "adaptive", ...).
   PipelineBuilder& WithMechanism(const std::string& name);
-  /// Or an explicit factory (one fresh instance per data subject).
+  /// Or an explicit factory. It is called once per private-lane shard for
+  /// an Initialized prototype (plus once to validate the configuration);
+  /// every data subject publishes through a Clone() of its shard's
+  /// prototype, so custom mechanisms must implement Clone (ppm/mechanism.h).
   PipelineBuilder& WithMechanismFactory(MechanismFactory factory);
   /// Consumer-side quality parameter α (adaptive mechanisms).
   PipelineBuilder& WithAlpha(double alpha);

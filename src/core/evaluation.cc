@@ -55,13 +55,14 @@ StatusOr<EvaluationResult> RunEvaluation(const Dataset& dataset,
   result.q_ordinary = 1.0;  // exact detection without a PPM
 
   Rng seeder(config.seed);
+  PublishedView view;
   for (size_t rep = 0; rep < config.repetitions; ++rep) {
     Rng rng = seeder.Fork();
     mechanism->Reset();
     ConfusionMatrix cm;
     for (size_t w = 0; w < eval_windows.size(); ++w) {
-      PLDP_ASSIGN_OR_RETURN(PublishedView view,
-                            mechanism->PublishWindow(eval_windows[w], &rng));
+      PLDP_RETURN_IF_ERROR(
+          mechanism->PublishInto(eval_windows[w], &rng, &view));
       for (size_t t = 0; t < dataset.target_patterns.size(); ++t) {
         bool predicted = PatternDetectedInView(
             view, dataset.patterns.Get(dataset.target_patterns[t]));

@@ -274,6 +274,12 @@ Status ParallelPrivateEngine::OnEventBatch(EventSpan events) {
   return runtime_->OnEventBatch(events);
 }
 
+Status ParallelPrivateEngine::Drain() {
+  driver_role_.Assert();
+  if (!active()) return Status::FailedPrecondition("Activate() not called");
+  return runtime_->Drain();
+}
+
 Status ParallelPrivateEngine::Finish() {
   driver_role_.Assert();
   if (!active()) return Status::FailedPrecondition("Activate() not called");

@@ -8,10 +8,11 @@
 // runs the service phase on the sharded runtime: events are routed by
 // subject onto N shards, and each shard worker feeds its substream into a
 // `SubjectViewPublisher` that windows every subject's stream, publishes
-// protected views through a per-subject mechanism instance, and answers
-// every registered query from the views — raw events never leave the
-// middleware. After `Finish()` (or `OnEnd` from a `StreamReplayer`), the
-// per-shard protected answers are merged by subject.
+// protected views through a per-subject clone of the shard's Initialized
+// mechanism prototype, and answers every registered query from the
+// views — raw events never leave the middleware. After `Finish()` (or
+// `OnEnd` from a `StreamReplayer`), the per-shard protected answers are
+// merged by subject.
 //
 // Cross-subject target queries ride the repartition/exchange stage
 // (runtime/exchange.h): each published protected view is flattened into
@@ -28,7 +29,7 @@
 //                                                   ▼
 //                                         SubjectViewPublisher
 //                                     (per-subject tumbling windows,
-//                                      per-subject mechanism + Rng,
+//                                      per-subject mechanism clone + Rng,
 //                                      protected answers)
 //                                                   │ protected views
 //                                                   ▼
@@ -130,8 +131,10 @@ class ParallelPrivateEngine : public StreamSubscriber {
 
   /// Validates the setup, grants the pattern-level budget ε, builds the
   /// sharded runtime (with the exchange stage when cross queries exist),
-  /// and starts the workers. `factory` creates one fresh mechanism per
-  /// data subject (see MechanismFactory).
+  /// and starts the workers. `factory` is called once here to validate the
+  /// configuration and once per shard for that shard's publisher
+  /// prototype; each data subject gets a clone of its shard's prototype
+  /// (see MechanismFactory and PrivacyMechanism::Clone).
   Status Activate(MechanismFactory factory, double epsilon);
 
   /// Registers this lane's instruments in `registry` when Activate builds
@@ -157,6 +160,12 @@ class ParallelPrivateEngine : public StreamSubscriber {
 
   Status OnEvent(const Event& event) override;
   Status OnEventBatch(EventSpan events) override;
+
+  /// Non-terminal barrier: waits until every event ingested so far has
+  /// been absorbed by its shard's publisher (windows still open stay
+  /// open). Workers stay alive and ingestion may continue; results remain
+  /// behind Finish().
+  Status Drain();
 
   /// Drains the shards, finalizes every publisher on its worker (closing
   /// each subject's open window and forwarding the final protected views),

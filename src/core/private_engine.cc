@@ -76,9 +76,9 @@ StatusOr<PrivateQueryResults> PrivateCepEngine::ProcessWindows(
   results.window_count = windows.size();
   results.answers.resize(cep_.queries().size());
 
+  PublishedView view;
   for (const Window& w : windows) {
-    PLDP_ASSIGN_OR_RETURN(PublishedView view,
-                          mechanism_->PublishWindow(w, rng));
+    PLDP_RETURN_IF_ERROR(mechanism_->PublishInto(w, rng, &view));
     for (const BinaryQuery& q : cep_.queries()) {
       const Pattern& target = cep_.patterns().Get(q.target);
       results.answers[q.id].Append(PatternDetectedInView(view, target));

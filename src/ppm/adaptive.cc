@@ -21,28 +21,21 @@ StatusOr<double> EvaluateAllocationQuality(const BudgetAllocation& allocation,
   }
   if (trials == 0) return Status::InvalidArgument("trials must be > 0");
 
-  PLDP_ASSIGN_OR_RETURN(auto mechanism,
-                        PatternRandomizedResponse::FromAllocation(allocation));
-  const auto& elems = private_pattern.elements();
+  PLDP_ASSIGN_OR_RETURN(PatternPerturber perturber,
+                        PatternPerturber::Create(private_pattern, allocation));
   const size_t type_count = context.event_types->size();
 
+  // Two views reused across every trial and window: the truth, and a copy
+  // perturbed in place by this private pattern alone.
   ConfusionMatrix cm;
   Rng rng(seed);
+  PublishedView true_view;
+  PublishedView noisy_view;
   for (size_t trial = 0; trial < trials; ++trial) {
     for (const Window& w : *context.history) {
-      PublishedView true_view = TrueView(w, type_count);
-
-      // Perturb only this private pattern's element indicators.
-      std::vector<bool> indicators(elems.size());
-      for (size_t i = 0; i < elems.size(); ++i) {
-        indicators[i] = true_view.presence[elems[i]];
-      }
-      PLDP_ASSIGN_OR_RETURN(std::vector<bool> noisy,
-                            mechanism.Perturb(indicators, &rng));
-      PublishedView noisy_view = true_view;
-      for (size_t i = 0; i < elems.size(); ++i) {
-        noisy_view.presence[elems[i]] = noisy[i];
-      }
+      FillTrueView(w, type_count, &true_view);
+      noisy_view.presence = true_view.presence;
+      perturber.Apply(&rng, &noisy_view);
 
       for (PatternId target : context.target_patterns) {
         const Pattern& tp = context.patterns->Get(target);
@@ -104,6 +97,10 @@ StatusOr<BudgetAllocation> BidirectionalStepwiseSearch(
     best_q = round_best_q;
   }
   return current;
+}
+
+std::unique_ptr<PrivacyMechanism> AdaptivePatternPpm::Clone() const {
+  return std::make_unique<AdaptivePatternPpm>(*this);
 }
 
 StatusOr<BudgetAllocation> AdaptivePatternPpm::MakeAllocation(

@@ -62,6 +62,7 @@ class AdaptivePatternPpm final : public PatternLevelPpm {
       : options_(options) {}
 
   std::string name() const override { return "adaptive"; }
+  std::unique_ptr<PrivacyMechanism> Clone() const override;
 
   const AdaptivePpmOptions& options() const { return options_; }
 

@@ -23,7 +23,6 @@ Status LandmarkPpm::Initialize(const MechanismContext& context) {
     return Status::InvalidArgument("landmark fraction must be in (0, 1)");
   }
 
-  context_ = context;
   type_count_ = context.event_types->size();
 
   private_types_.clear();
@@ -89,16 +88,22 @@ bool LandmarkPpm::IsLandmark(const Window& window) const {
                      });
 }
 
-StatusOr<PublishedView> LandmarkPpm::PublishWindow(const Window& window,
-                                                   Rng* rng) {
+std::unique_ptr<PrivacyMechanism> LandmarkPpm::Clone() const {
+  auto clone = std::make_unique<LandmarkPpm>(*this);
+  clone->Reset();
+  return clone;
+}
+
+Status LandmarkPpm::PublishInto(const Window& window, Rng* rng,
+                                PublishedView* view) {
   if (type_count_ == 0) {
     return Status::FailedPrecondition("Initialize() not called");
   }
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
-  std::vector<double> counts(type_count_, 0.0);
+  counts_.assign(type_count_, 0.0);
   for (const Event& e : window.events) {
-    if (e.type() < type_count_) counts[e.type()] += 1.0;
+    if (e.type() < type_count_) counts_[e.type()] += 1.0;
   }
 
   const double ts_budget =
@@ -111,7 +116,7 @@ StatusOr<PublishedView> LandmarkPpm::PublishWindow(const Window& window,
     // Adaptive sampling: noisy mean-absolute dissimilarity vs last release.
     double dis = 0.0;
     for (size_t t = 0; t < type_count_; ++t) {
-      dis += std::abs(counts[t] - last_published_[t]);
+      dis += std::abs(counts_[t] - last_published_[t]);
     }
     dis /= static_cast<double>(type_count_);
     PLDP_ASSIGN_OR_RETURN(
@@ -125,17 +130,16 @@ StatusOr<PublishedView> LandmarkPpm::PublishWindow(const Window& window,
     PLDP_ASSIGN_OR_RETURN(
         auto pub_mech, LaplaceMechanism::Create(/*sensitivity=*/1.0, eps_pub));
     for (size_t t = 0; t < type_count_; ++t) {
-      last_published_[t] = pub_mech.AddNoise(counts[t], rng);
+      last_published_[t] = pub_mech.AddNoise(counts_[t], rng);
     }
     has_published_ = true;
   }
 
-  PublishedView view;
-  view.presence.assign(type_count_, false);
+  view->presence.assign(type_count_, false);
   for (size_t t = 0; t < type_count_; ++t) {
-    view.presence[t] = last_published_[t] >= options_.presence_threshold;
+    view->presence[t] = last_published_[t] >= options_.presence_threshold;
   }
-  return view;
+  return Status::OK();
 }
 
 }  // namespace pldp

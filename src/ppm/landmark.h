@@ -22,6 +22,7 @@
 #ifndef PLDP_PPM_LANDMARK_H_
 #define PLDP_PPM_LANDMARK_H_
 
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -48,8 +49,9 @@ class LandmarkPpm final : public PrivacyMechanism {
   explicit LandmarkPpm(LandmarkOptions options = {}) : options_(options) {}
 
   Status Initialize(const MechanismContext& context) override;
-  StatusOr<PublishedView> PublishWindow(const Window& window,
-                                        Rng* rng) override;
+  Status PublishInto(const Window& window, Rng* rng,
+                     PublishedView* view) override;
+  std::unique_ptr<PrivacyMechanism> Clone() const override;
   void Reset() override;
   std::string name() const override { return "landmark"; }
 
@@ -62,7 +64,6 @@ class LandmarkPpm final : public PrivacyMechanism {
 
  private:
   LandmarkOptions options_;
-  MechanismContext context_;
   size_t type_count_ = 0;
   std::unordered_set<EventTypeId> private_types_;
 
@@ -71,6 +72,8 @@ class LandmarkPpm final : public PrivacyMechanism {
   double eps_regular_ts_ = 0.0;
 
   std::vector<double> last_published_;
+  /// Per-window true counts; a member so publishing reuses its storage.
+  std::vector<double> counts_;
   bool has_published_ = false;
 };
 

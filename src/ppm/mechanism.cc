@@ -2,9 +2,12 @@
 
 #include "ppm/mechanism.h"
 
+#include "common/thread_annotations.h"
+
 namespace pldp {
 
-bool PatternDetectedInView(const PublishedView& view, const Pattern& pattern) {
+PLDP_HOT bool PatternDetectedInView(const PublishedView& view,
+                                    const Pattern& pattern) {
   switch (pattern.mode()) {
     case DetectionMode::kSequence:
     case DetectionMode::kConjunction: {
@@ -25,10 +28,22 @@ bool PatternDetectedInView(const PublishedView& view, const Pattern& pattern) {
 
 PublishedView TrueView(const Window& window, size_t type_count) {
   PublishedView view;
-  view.presence.assign(type_count, false);
+  FillTrueView(window, type_count, &view);
+  return view;
+}
+
+PLDP_HOT void FillTrueView(const Window& window, size_t type_count,
+                           PublishedView* view) {
+  view->presence.assign(type_count, false);
   for (const Event& e : window.events) {
-    if (e.type() < type_count) view.presence[e.type()] = true;
+    if (e.type() < type_count) view->presence[e.type()] = true;
   }
+}
+
+StatusOr<PublishedView> PrivacyMechanism::PublishWindow(const Window& window,
+                                                        Rng* rng) {
+  PublishedView view;
+  PLDP_RETURN_IF_ERROR(PublishInto(window, rng, &view));
   return view;
 }
 
@@ -40,13 +55,18 @@ Status PassthroughMechanism::Initialize(const MechanismContext& context) {
   return Status::OK();
 }
 
-StatusOr<PublishedView> PassthroughMechanism::PublishWindow(
-    const Window& window, Rng* rng) {
+Status PassthroughMechanism::PublishInto(const Window& window, Rng* rng,
+                                         PublishedView* view) {
   (void)rng;
   if (type_count_ == 0) {
     return Status::FailedPrecondition("Initialize() not called");
   }
-  return TrueView(window, type_count_);
+  FillTrueView(window, type_count_, view);
+  return Status::OK();
+}
+
+std::unique_ptr<PrivacyMechanism> PassthroughMechanism::Clone() const {
+  return std::make_unique<PassthroughMechanism>(*this);
 }
 
 }  // namespace pldp

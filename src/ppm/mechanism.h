@@ -73,19 +73,51 @@ bool PatternDetectedInView(const PublishedView& view, const Pattern& pattern);
 /// Builds the truthful view of a window (no privacy).
 PublishedView TrueView(const Window& window, size_t type_count);
 
+/// Overwrites `view` with the truthful view of `window`, reusing its
+/// storage: no allocation once the view has held `type_count` bits.
+void FillTrueView(const Window& window, size_t type_count,
+                  PublishedView* view);
+
 /// Abstract PPM.
+///
+/// Implementing a custom mechanism: override Initialize, PublishInto,
+/// Clone, Reset and name. The service path (ppm/subject_publisher.h)
+/// Initializes ONE prototype per publisher and gives every data subject
+/// `prototype->Clone()`, so Clone must honour this contract:
+///
+///   - A clone of an Initialized mechanism is Initialized, independent of
+///     the original (publishing from one never changes what the other
+///     publishes), and in the state a fresh `factory()` + `Initialize`
+///     with the same context would be in: given the same Rng, the two
+///     publish identical view sequences. Inter-window state (the w-event
+///     baselines' last release, counters) starts from its initial value.
+///   - Immutable setup products — tuned budgets, resolved patterns — may
+///     be shared between clones (e.g. via shared_ptr<const ...>) rather
+///     than copied: that is what makes a clone cheap. Anything shared
+///     must stay immutable after Initialize.
+///   - Clone runs on the publisher's thread whenever a new data subject
+///     appears, so it should cost no more than a copy.
 class PrivacyMechanism {
  public:
   virtual ~PrivacyMechanism() = default;
 
   /// Validates the context and prepares internal state. Must be called
-  /// before the first PublishWindow.
+  /// before the first publication.
   virtual Status Initialize(const MechanismContext& context) = 0;
 
-  /// Publishes the protected view of the next window. Windows arrive in
-  /// temporal order; stateful mechanisms rely on that.
-  virtual StatusOr<PublishedView> PublishWindow(const Window& window,
-                                                Rng* rng) = 0;
+  /// Publishes the protected view of the next window into `*view`,
+  /// overwriting it and reusing its storage. Windows arrive in temporal
+  /// order; stateful mechanisms rely on that. On error `*view` is
+  /// unspecified.
+  virtual Status PublishInto(const Window& window, Rng* rng,
+                             PublishedView* view) = 0;
+
+  /// Convenience form of PublishInto that returns a freshly allocated view.
+  StatusOr<PublishedView> PublishWindow(const Window& window, Rng* rng);
+
+  /// An independent copy in its post-Initialize state (see the class
+  /// comment for the contract custom mechanisms must meet).
+  virtual std::unique_ptr<PrivacyMechanism> Clone() const = 0;
 
   /// Clears inter-window state (start of a new repetition / stream).
   virtual void Reset() = 0;
@@ -94,10 +126,11 @@ class PrivacyMechanism {
   virtual std::string name() const = 0;
 };
 
-/// Creates fresh, un-Initialized mechanism instances. The sharded service
-/// path (ppm/subject_publisher.h) instantiates one mechanism per data
-/// subject from a factory, so stateful mechanisms never share inter-window
-/// state across subjects.
+/// Creates un-Initialized mechanism instances. The sharded service path
+/// (ppm/subject_publisher.h) calls it once per publisher, Initializes the
+/// result as a prototype, and clones that prototype for every data subject
+/// (PrivacyMechanism::Clone), so stateful mechanisms never share
+/// inter-window state across subjects.
 using MechanismFactory =
     std::function<StatusOr<std::unique_ptr<PrivacyMechanism>>()>;
 
@@ -106,8 +139,9 @@ using MechanismFactory =
 class PassthroughMechanism final : public PrivacyMechanism {
  public:
   Status Initialize(const MechanismContext& context) override;
-  StatusOr<PublishedView> PublishWindow(const Window& window,
-                                        Rng* rng) override;
+  Status PublishInto(const Window& window, Rng* rng,
+                     PublishedView* view) override;
+  std::unique_ptr<PrivacyMechanism> Clone() const override;
   void Reset() override {}
   std::string name() const override { return "passthrough"; }
 

@@ -14,9 +14,9 @@ StatusOr<size_t> CountViaPublishedViews(PrivacyMechanism* mechanism,
     return Status::InvalidArgument("mechanism must not be null");
   }
   size_t count = 0;
+  PublishedView view;
   for (const Window& w : windows) {
-    PLDP_ASSIGN_OR_RETURN(PublishedView view,
-                          mechanism->PublishWindow(w, rng));
+    PLDP_RETURN_IF_ERROR(mechanism->PublishInto(w, rng, &view));
     if (PatternDetectedInView(view, target)) ++count;
   }
   return count;

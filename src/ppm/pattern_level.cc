@@ -2,9 +2,42 @@
 
 #include "ppm/pattern_level.h"
 
+#include <utility>
+
+#include "common/thread_annotations.h"
+
 namespace pldp {
 
+StatusOr<PatternPerturber> PatternPerturber::Create(
+    const Pattern& pattern, const BudgetAllocation& allocation) {
+  if (allocation.size() != pattern.length()) {
+    return Status::InvalidArgument("allocation size != pattern length for '" +
+                                   pattern.name() + "'");
+  }
+  PLDP_ASSIGN_OR_RETURN(PatternRandomizedResponse rr,
+                        PatternRandomizedResponse::FromAllocation(allocation));
+  const std::vector<EventTypeId>& elems = pattern.elements();
+  std::vector<bool> writes(elems.size(), true);
+  for (size_t i = 0; i < elems.size(); ++i) {
+    for (size_t j = i + 1; j < elems.size(); ++j) {
+      if (elems[j] == elems[i]) writes[i] = false;
+    }
+  }
+  return PatternPerturber(&pattern, std::move(rr), std::move(writes));
+}
+
+PLDP_HOT void PatternPerturber::Apply(Rng* rng, PublishedView* view) const {
+  const std::vector<EventTypeId>& elems = pattern_->elements();
+  for (size_t i = 0; i < elems.size(); ++i) {
+    // A type's bit is only written at its last occurrence, so every read
+    // here still sees the bit from before this application.
+    const bool noisy = rr_.mechanism(i).Perturb(view->presence[elems[i]], rng);
+    if (writes_[i]) view->presence[elems[i]] = noisy;
+  }
+}
+
 Status PatternLevelPpm::Initialize(const MechanismContext& context) {
+  plan_.reset();
   if (context.event_types == nullptr || context.patterns == nullptr) {
     return Status::InvalidArgument(
         "context.event_types and context.patterns must be set");
@@ -21,7 +54,7 @@ Status PatternLevelPpm::Initialize(const MechanismContext& context) {
       return Status::NotFound("private pattern id " + std::to_string(id) +
                               " not registered");
     }
-    // PublishWindow and the adaptive scorer index the per-type presence
+    // PublishInto and the adaptive scorer index the per-type presence
     // vector by element type, so every element must be a known type.
     const Pattern& p = context.patterns->Get(id);
     for (EventTypeId type : p.elements()) {
@@ -34,58 +67,37 @@ Status PatternLevelPpm::Initialize(const MechanismContext& context) {
     }
   }
 
-  context_ = context;
-  type_count_ = context.event_types->size();
-  private_ids_ = context.private_patterns;
-  allocations_.clear();
-  mechanisms_.clear();
-
-  for (PatternId id : private_ids_) {
+  auto plan = std::make_shared<Plan>();
+  plan->type_count = context.event_types->size();
+  for (PatternId id : context.private_patterns) {
     const Pattern& p = context.patterns->Get(id);
     PLDP_ASSIGN_OR_RETURN(BudgetAllocation alloc, MakeAllocation(p, context));
-    if (alloc.size() != p.length()) {
-      return Status::Internal("allocation size mismatch for pattern '" +
-                              p.name() + "'");
-    }
-    PLDP_ASSIGN_OR_RETURN(auto mech,
-                          PatternRandomizedResponse::FromAllocation(alloc));
-    allocations_.push_back(std::move(alloc));
-    mechanisms_.push_back(std::move(mech));
+    PLDP_ASSIGN_OR_RETURN(PatternPerturber perturber,
+                          PatternPerturber::Create(p, alloc));
+    plan->allocations.push_back(std::move(alloc));
+    plan->perturbers.push_back(std::move(perturber));
   }
-  initialized_ = true;
+  plan_ = std::move(plan);
   return Status::OK();
 }
 
-StatusOr<PublishedView> PatternLevelPpm::PublishWindow(const Window& window,
-                                                       Rng* rng) {
-  if (!initialized_) {
+PLDP_HOT Status PatternLevelPpm::PublishInto(const Window& window, Rng* rng,
+                                             PublishedView* view) {
+  if (plan_ == nullptr) {
     return Status::FailedPrecondition("Initialize() not called");
   }
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
-  PublishedView view = TrueView(window, type_count_);
-
+  FillTrueView(window, plan_->type_count, view);
   // Independent application per private pattern, in registration order.
-  for (size_t k = 0; k < private_ids_.size(); ++k) {
-    const Pattern& p = context_.patterns->Get(private_ids_[k]);
-    const auto& elems = p.elements();
-
-    // Collect the current indicator of each element...
-    std::vector<bool> indicators(elems.size());
-    for (size_t i = 0; i < elems.size(); ++i) {
-      indicators[i] = view.presence[elems[i]];
-    }
-    // ...perturb them jointly (one RR per element)...
-    PLDP_ASSIGN_OR_RETURN(std::vector<bool> noisy,
-                          mechanisms_[k].Perturb(indicators, rng));
-    // ...and write back. When a type repeats within the pattern, the later
-    // element's output wins (each element is an independent mechanism; the
-    // published bit composes their outputs).
-    for (size_t i = 0; i < elems.size(); ++i) {
-      view.presence[elems[i]] = noisy[i];
-    }
+  for (const PatternPerturber& perturber : plan_->perturbers) {
+    perturber.Apply(rng, view);
   }
-  return view;
+  return Status::OK();
+}
+
+std::unique_ptr<PrivacyMechanism> UniformPatternPpm::Clone() const {
+  return std::make_unique<UniformPatternPpm>(*this);
 }
 
 StatusOr<BudgetAllocation> UniformPatternPpm::MakeAllocation(

@@ -15,6 +15,7 @@
 #ifndef PLDP_PPM_PATTERN_LEVEL_H_
 #define PLDP_PPM_PATTERN_LEVEL_H_
 
+#include <memory>
 #include <vector>
 
 #include "dp/budget.h"
@@ -23,47 +24,83 @@
 
 namespace pldp {
 
+/// Randomized response on one pattern's presence bits, applied in place to
+/// a published view: one single-bit mechanism per element (paper
+/// Definition 5), drawn in element order. Every element reads its type's
+/// bit as it stood before this application; when a type repeats within
+/// the pattern only its last occurrence writes (each element is an
+/// independent mechanism and the published bit is the later one's output),
+/// so no scratch copy of the bits is needed.
+class PatternPerturber {
+ public:
+  /// `pattern` is borrowed and must outlive the perturber.
+  static StatusOr<PatternPerturber> Create(const Pattern& pattern,
+                                           const BudgetAllocation& allocation);
+
+  /// Perturbs `view->presence` in place. Every element type of the pattern
+  /// must index into the presence vector.
+  void Apply(Rng* rng, PublishedView* view) const;
+
+  const Pattern& pattern() const { return *pattern_; }
+
+ private:
+  PatternPerturber(const Pattern* pattern, PatternRandomizedResponse rr,
+                   std::vector<bool> writes)
+      : pattern_(pattern), rr_(std::move(rr)), writes_(std::move(writes)) {}
+
+  const Pattern* pattern_;
+  PatternRandomizedResponse rr_;
+  /// writes_[i]: element i is the last occurrence of its type.
+  std::vector<bool> writes_;
+};
+
 /// Base class: randomized response on private-pattern indicators.
 class PatternLevelPpm : public PrivacyMechanism {
  public:
   Status Initialize(const MechanismContext& context) override;
 
-  StatusOr<PublishedView> PublishWindow(const Window& window,
-                                        Rng* rng) override;
+  Status PublishInto(const Window& window, Rng* rng,
+                     PublishedView* view) override;
 
   void Reset() override {}  // stateless across windows
 
   /// The allocation in effect for the i-th private pattern (after
   /// Initialize). Exposed for tests and the budget-distribution bench.
   const BudgetAllocation& allocation(size_t i) const {
-    return allocations_[i];
+    return plan_->allocations[i];
   }
-  size_t private_pattern_count() const { return allocations_.size(); }
+  size_t private_pattern_count() const {
+    return plan_ == nullptr ? 0 : plan_->allocations.size();
+  }
 
   /// Per-pattern total ε actually configured (Theorem 1 sum).
-  double PatternEpsilon(size_t i) const { return allocations_[i].Total(); }
+  double PatternEpsilon(size_t i) const { return allocation(i).Total(); }
 
  protected:
   /// Subclass hook: produce the budget split for one private pattern.
   /// `pattern` is the pattern to protect; `context` carries history etc.
+  /// Runs once per private pattern in Initialize; clones share the result.
   virtual StatusOr<BudgetAllocation> MakeAllocation(
       const Pattern& pattern, const MechanismContext& context) = 0;
 
-  const MechanismContext* context() const { return &context_; }
-
  private:
-  MechanismContext context_;
-  size_t type_count_ = 0;
-  std::vector<PatternId> private_ids_;
-  std::vector<BudgetAllocation> allocations_;
-  std::vector<PatternRandomizedResponse> mechanisms_;
-  bool initialized_ = false;
+  /// Everything Initialize derives, immutable afterwards and shared by
+  /// every clone, so a clone costs one allocation.
+  struct Plan {
+    size_t type_count = 0;
+    std::vector<BudgetAllocation> allocations;
+    /// perturbers[k] applies allocations[k] to the k-th private pattern.
+    std::vector<PatternPerturber> perturbers;
+  };
+
+  std::shared_ptr<const Plan> plan_;
 };
 
 /// Uniform pattern-level PPM (paper §V-A): ε_i = ε / m.
-class UniformPatternPpm final : public PatternLevelPpm {
+class UniformPatternPpm : public PatternLevelPpm {
  public:
   std::string name() const override { return "uniform"; }
+  std::unique_ptr<PrivacyMechanism> Clone() const override;
 
  protected:
   StatusOr<BudgetAllocation> MakeAllocation(

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/thread_annotations.h"
+
 namespace pldp {
 
 SubjectViewPublisher::SubjectViewPublisher(SubjectPublisherOptions options)
@@ -21,20 +23,27 @@ SubjectViewPublisher::SubjectViewPublisher(SubjectPublisherOptions options)
   for (const BinaryQuery& q : options_.queries) {
     targets_.push_back(&options_.context.patterns->Get(q.target));
   }
+  StatusOr<std::unique_ptr<PrivacyMechanism>> prototype = options_.factory();
+  if (!prototype.ok()) {
+    error_ = prototype.status();
+    return;
+  }
+  if (prototype.value() == nullptr) {
+    error_ = Status::InvalidArgument("factory returned a null mechanism");
+    return;
+  }
+  error_ = prototype.value()->Initialize(options_.context);
+  if (error_.ok()) prototype_ = std::move(prototype).value();
 }
 
-StatusOr<SubjectViewPublisher::SubjectState*> SubjectViewPublisher::GetOrCreate(
+SubjectViewPublisher::SubjectState* SubjectViewPublisher::GetOrCreate(
     const Event& event) {
   auto it = subjects_.find(event.stream());
   if (it != subjects_.end()) return &it->second;
 
-  PLDP_ASSIGN_OR_RETURN(std::unique_ptr<PrivacyMechanism> mechanism,
-                        options_.factory());
-  PLDP_RETURN_IF_ERROR(mechanism->Initialize(options_.context));
-
   SubjectState state(event.stream(),
                      Rng(SubjectSeed(options_.seed, event.stream())));
-  state.mechanism = std::move(mechanism);
+  state.mechanism = prototype_->Clone();
   state.current.start = AlignWindowStart(
       event.timestamp(), options_.window_origin, options_.window_size);
   state.current.end = state.current.start + options_.window_size;
@@ -44,16 +53,17 @@ StatusOr<SubjectViewPublisher::SubjectState*> SubjectViewPublisher::GetOrCreate(
   return &inserted.first->second;
 }
 
-Status SubjectViewPublisher::PublishCurrent(SubjectState* state) {
-  PLDP_ASSIGN_OR_RETURN(PublishedView view,
-                        state->mechanism->PublishWindow(state->current,
-                                                        &state->rng));
+PLDP_HOT Status SubjectViewPublisher::PublishCurrent(SubjectState* state) {
+  PLDP_RETURN_IF_ERROR(
+      state->mechanism->PublishInto(state->current, &state->rng, &view_));
   for (size_t i = 0; i < options_.queries.size(); ++i) {
+    // Result growth, not per-window overhead: a series' vector<bool>
+    // reallocates only when it crosses its capacity.
     state->results.answers[options_.queries[i].id].Append(
-        PatternDetectedInView(view, *targets_[i]));
+        PatternDetectedInView(view_, *targets_[i]));
   }
   if (view_callback_) {
-    view_callback_(state->subject, state->current, view);
+    view_callback_(state->subject, state->current, view_);
   }
   ++state->results.window_count;
   ++total_windows_;
@@ -64,15 +74,12 @@ Status SubjectViewPublisher::PublishCurrent(SubjectState* state) {
   return Status::OK();
 }
 
-void SubjectViewPublisher::Absorb(const Event& event) {
+PLDP_HOT void SubjectViewPublisher::Absorb(const Event& event) {
   owner_role_.Assert();
   if (!error_.ok() || finalized_) return;
-  StatusOr<SubjectState*> state_or = GetOrCreate(event);
-  if (!state_or.ok()) {
-    error_ = state_or.status();
-    return;
-  }
-  SubjectState* state = state_or.value();
+  // A subject's first event clones the prototype and builds its state.
+  SubjectState* state =
+      GetOrCreate(event);  // hotpath-allow: new subject — clone + state
   // Close every window the event skipped past — empty windows are still
   // published (an evaluation point with noise can answer positive), exactly
   // as TumblingWindower emits them.

@@ -13,11 +13,19 @@
 // that equivalence exactly.
 //
 // Determinism is shard-topology-independent: each subject's Rng derives
-// from (base seed, subject id) via `SubjectSeed`, and each subject gets a
-// fresh mechanism instance from the factory, so the published answers do
-// not depend on which worker absorbed the subject or on how subjects
+// from (base seed, subject id) via `SubjectSeed`, and each subject gets
+// its own mechanism in the post-Initialize state, so the published answers
+// do not depend on which worker absorbed the subject or on how subjects
 // interleave. This is what lets ParallelPrivateEngine produce identical
 // results at any shard count.
+//
+// Setup cost is paid once per publisher, not once per subject: the
+// constructor Initializes one prototype from the factory (for the
+// adaptive PPM that runs Algorithm 1), and a new subject gets
+// `prototype->Clone()` — for the pattern-level PPMs one allocation that
+// shares the tuned plan. Windows publish into one reused PublishedView,
+// so once every subject has appeared the only allocations left are
+// answer-series growth.
 
 #ifndef PLDP_PPM_SUBJECT_PUBLISHER_H_
 #define PLDP_PPM_SUBJECT_PUBLISHER_H_
@@ -61,7 +69,8 @@ struct SubjectPublisherOptions {
   /// built by PrivateCepEngine::BuildContext). Borrowed registries must
   /// outlive the publisher.
   MechanismContext context;
-  /// Creates one fresh mechanism per subject.
+  /// Called once, at construction, for the prototype every subject's
+  /// mechanism is cloned from.
   MechanismFactory factory;
   /// Queries answered per window, indexed by BinaryQuery::id.
   std::vector<BinaryQuery> queries;
@@ -103,9 +112,9 @@ class SubjectViewPublisher {
   }
 
   /// Absorbs one event. Events of one subject must arrive in non-decreasing
-  /// timestamp order (the stream contract). Errors (mechanism creation or
-  /// publication failures) latch: the first one is kept and returned by
-  /// Finalize, and further events are ignored.
+  /// timestamp order (the stream contract). Errors (prototype creation at
+  /// construction, or publication failures) latch: the first one is kept
+  /// and returned by Finalize, and further events are ignored.
   void Absorb(const Event& event);
 
   /// Publishes every subject's open window (the window containing its last
@@ -147,8 +156,8 @@ class SubjectViewPublisher {
     SubjectResults results;
   };
 
-  StatusOr<SubjectState*> GetOrCreate(const Event& event)
-      PLDP_REQUIRES(owner_role_);
+  /// The subject's state; a new subject gets a prototype clone.
+  SubjectState* GetOrCreate(const Event& event) PLDP_REQUIRES(owner_role_);
 
   /// Publishes the open window and advances to the next one.
   Status PublishCurrent(SubjectState* state) PLDP_REQUIRES(owner_role_);
@@ -160,6 +169,9 @@ class SubjectViewPublisher {
   mutable ThreadRole owner_role_;
 
   SubjectPublisherOptions options_;
+  /// Initialized once from options_.factory; every subject's mechanism is
+  /// a clone. Null when construction failed (error_ says why).
+  std::unique_ptr<PrivacyMechanism> prototype_;
   ViewCallback view_callback_;
   obs::PublisherInstruments obs_;
   /// targets_[i] is queries[i]'s target pattern, resolved once (the query
@@ -167,6 +179,8 @@ class SubjectViewPublisher {
   std::vector<const Pattern*> targets_;
   std::unordered_map<StreamId, SubjectState> subjects_
       PLDP_GUARDED_BY(owner_role_);
+  /// Every window publishes into this one view (storage reused).
+  PublishedView view_ PLDP_GUARDED_BY(owner_role_);
   size_t total_windows_ PLDP_GUARDED_BY(owner_role_) = 0;
   Status error_ PLDP_GUARDED_BY(owner_role_) = Status::OK();
   bool finalized_ PLDP_GUARDED_BY(owner_role_) = false;

@@ -30,7 +30,6 @@ Status WEventPpm::Initialize(const MechanismContext& context) {
   }
   if (options_.w == 0) return Status::InvalidArgument("w must be > 0");
 
-  context_ = context;
   type_count_ = context.event_types->size();
 
   size_t span = MaxPrivateSpan(context);
@@ -52,17 +51,17 @@ void WEventPpm::Reset() {
   publication_count_ = 0;
 }
 
-StatusOr<PublishedView> WEventPpm::PublishWindow(const Window& window,
-                                                 Rng* rng) {
+Status WEventPpm::PublishInto(const Window& window, Rng* rng,
+                              PublishedView* view) {
   if (type_count_ == 0) {
     return Status::FailedPrecondition("Initialize() not called");
   }
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
   // True per-type counts of this window.
-  std::vector<double> counts(type_count_, 0.0);
+  counts_.assign(type_count_, 0.0);
   for (const Event& e : window.events) {
-    if (e.type() < type_count_) counts[e.type()] += 1.0;
+    if (e.type() < type_count_) counts_[e.type()] += 1.0;
   }
 
   const double pub_budget = PublicationBudget();
@@ -79,7 +78,7 @@ StatusOr<PublishedView> WEventPpm::PublishWindow(const Window& window,
     // (the Laplace scale of the publication noise).
     double dis = 0.0;
     for (size_t t = 0; t < type_count_; ++t) {
-      dis += std::abs(counts[t] - last_published_[t]);
+      dis += std::abs(counts_[t] - last_published_[t]);
     }
     dis /= static_cast<double>(type_count_);
     PLDP_ASSIGN_OR_RETURN(
@@ -95,7 +94,7 @@ StatusOr<PublishedView> WEventPpm::PublishWindow(const Window& window,
     PLDP_ASSIGN_OR_RETURN(auto pub_mech, LaplaceMechanism::Create(
                                              /*sensitivity=*/1.0, pub_budget));
     for (size_t t = 0; t < type_count_; ++t) {
-      last_published_[t] = pub_mech.AddNoise(counts[t], rng);
+      last_published_[t] = pub_mech.AddNoise(counts_[t], rng);
     }
     has_published_ = true;
     spent = pub_budget;
@@ -104,12 +103,23 @@ StatusOr<PublishedView> WEventPpm::PublishWindow(const Window& window,
   OnDecision(publish, spent);
   ++timestamp_;
 
-  PublishedView view;
-  view.presence.assign(type_count_, false);
+  view->presence.assign(type_count_, false);
   for (size_t t = 0; t < type_count_; ++t) {
-    view.presence[t] = last_published_[t] >= options_.presence_threshold;
+    view->presence[t] = last_published_[t] >= options_.presence_threshold;
   }
-  return view;
+  return Status::OK();
+}
+
+std::unique_ptr<PrivacyMechanism> BudgetDivisionPpm::Clone() const {
+  auto clone = std::make_unique<BudgetDivisionPpm>(*this);
+  clone->Reset();
+  return clone;
+}
+
+std::unique_ptr<PrivacyMechanism> BudgetAbsorptionPpm::Clone() const {
+  auto clone = std::make_unique<BudgetAbsorptionPpm>(*this);
+  clone->Reset();
+  return clone;
 }
 
 void BudgetAbsorptionPpm::Reset() {

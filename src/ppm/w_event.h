@@ -26,6 +26,7 @@
 #ifndef PLDP_PPM_W_EVENT_H_
 #define PLDP_PPM_W_EVENT_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,8 @@ class WEventPpm : public PrivacyMechanism {
   explicit WEventPpm(WEventOptions options) : options_(options) {}
 
   Status Initialize(const MechanismContext& context) override;
-  StatusOr<PublishedView> PublishWindow(const Window& window,
-                                        Rng* rng) override;
+  Status PublishInto(const Window& window, Rng* rng,
+                     PublishedView* view) override;
   void Reset() override;
 
   /// Native w-event budget after conversion from pattern-level ε.
@@ -71,13 +72,14 @@ class WEventPpm : public PrivacyMechanism {
 
  private:
   WEventOptions options_;
-  MechanismContext context_;
   size_t type_count_ = 0;
   double native_epsilon_ = 0.0;
   double budget_unit_ = 0.0;
   double dissim_epsilon_per_ts_ = 0.0;
 
   std::vector<double> last_published_;
+  /// Per-window true counts; a member so publishing reuses its storage.
+  std::vector<double> counts_;
   bool has_published_ = false;
   size_t timestamp_ = 0;
   size_t publication_count_ = 0;
@@ -89,6 +91,7 @@ class BudgetDivisionPpm final : public WEventPpm {
   explicit BudgetDivisionPpm(WEventOptions options = {})
       : WEventPpm(options) {}
   std::string name() const override { return "bd"; }
+  std::unique_ptr<PrivacyMechanism> Clone() const override;
 
  protected:
   double PublicationBudget() override { return budget_unit(); }
@@ -102,6 +105,7 @@ class BudgetAbsorptionPpm final : public WEventPpm {
   explicit BudgetAbsorptionPpm(WEventOptions options = {})
       : WEventPpm(options) {}
   std::string name() const override { return "ba"; }
+  std::unique_ptr<PrivacyMechanism> Clone() const override;
   void Reset() override;
 
  protected:

@@ -11,6 +11,11 @@
 // The measured segment emits only pattern prefixes (never a completion),
 // so matcher detection vectors — which legitimately grow with results —
 // stay quiet and the assertion can be exact, not approximate.
+//
+// The private lane gets the same exact pin: once every data subject has
+// appeared, perturbation and publication allocate nothing; the measured
+// segment keeps each subject's answer series inside its first 64 windows,
+// the vector<bool> word its first answer allocated.
 
 #define PLDP_ENABLE_ALLOC_HOOK
 #include "bench/bench_util.h"
@@ -18,11 +23,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "core/parallel_private_engine.h"
 #include "event/symbol_table.h"
 #include "obs/metrics.h"
+#include "ppm/factory.h"
 #include "runtime/parallel_engine.h"
 #include "stream/event_stream.h"
 
@@ -271,6 +279,128 @@ TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
       << counters.bytes << " bytes) across " << batched.size() << " events";
 
   ASSERT_TRUE(engine.Stop().ok());
+}
+
+constexpr size_t kPrivateSubjects = 48;
+constexpr size_t kPrivateTypes = 12;
+constexpr Timestamp kPrivateWindow = 4;
+
+/// One event per subject per timestamp over [ts_begin, ts_end), so every
+/// subject's window holds exactly kPrivateWindow events and its event
+/// buffer stops growing after the first window.
+EventStream MakePrivateStream(Timestamp ts_begin, Timestamp ts_end,
+                              uint64_t seed) {
+  Rng rng(seed);
+  EventStream stream;
+  stream.Reserve(static_cast<size_t>(ts_end - ts_begin) * kPrivateSubjects);
+  for (Timestamp ts = ts_begin; ts < ts_end; ++ts) {
+    for (size_t s = 0; s < kPrivateSubjects; ++s) {
+      const auto type =
+          static_cast<EventTypeId>(rng.UniformUint64(kPrivateTypes));
+      stream.AppendUnchecked(Event(type, ts, static_cast<StreamId>(s)));
+    }
+  }
+  return stream;
+}
+
+Status DeclarePrivateSetup(ParallelPrivateEngine* engine) {
+  for (size_t t = 0; t < kPrivateTypes; ++t) {
+    engine->InternEventType("alloc_private_t" + std::to_string(t));
+  }
+  const struct {
+    const char* name;
+    std::vector<EventTypeId> elements;
+    DetectionMode mode;
+  } private_patterns[] = {
+      {"priv_seq", {0, 0, 1}, DetectionMode::kSequence},
+      {"priv_and", {1, 2, 3}, DetectionMode::kConjunction},
+      {"priv_single", {4}, DetectionMode::kConjunction},
+  };
+  for (const auto& p : private_patterns) {
+    PLDP_ASSIGN_OR_RETURN(Pattern pattern,
+                          Pattern::Create(p.name, p.elements, p.mode));
+    PLDP_RETURN_IF_ERROR(
+        engine->RegisterPrivatePattern(std::move(pattern)).status());
+  }
+  for (EventTypeId t = 0; t + 1 < kPrivateTypes; t += 2) {
+    const std::string name = "tgt" + std::to_string(t);
+    PLDP_ASSIGN_OR_RETURN(
+        Pattern pattern,
+        Pattern::Create(name, {t, static_cast<EventTypeId>(t + 1)},
+                        DetectionMode::kConjunction));
+    PLDP_RETURN_IF_ERROR(
+        engine->RegisterTargetQuery(name, std::move(pattern)).status());
+  }
+  // History for the adaptive mechanism's Algorithm 1.
+  std::vector<Window> history;
+  Rng rng(3);
+  for (size_t i = 0; i < 30; ++i) {
+    Window win;
+    win.start = static_cast<Timestamp>(i);
+    win.end = win.start + 1;
+    for (EventTypeId t = 0; t < kPrivateTypes; ++t) {
+      if (rng.Bernoulli(0.4)) win.events.emplace_back(t, win.start);
+    }
+    history.push_back(std::move(win));
+  }
+  engine->SetHistory(std::move(history));
+  return Status::OK();
+}
+
+Status IngestPrivateBatched(ParallelPrivateEngine& engine,
+                            const EventStream& stream) {
+  constexpr size_t kBatch = 1024;
+  const std::vector<Event>& events = stream.events();
+  for (size_t i = 0; i < events.size(); i += kBatch) {
+    const size_t n = std::min(kBatch, events.size() - i);
+    PLDP_RETURN_IF_ERROR(engine.OnEventBatch(EventSpan(events.data() + i, n)));
+  }
+  return Status::OK();
+}
+
+TEST(AllocRegressionTest, PrivatePipelineSteadyStateIsAllocationFree) {
+  if (!bench::kAllocHookActive) {
+    GTEST_SKIP() << "allocation hook inactive under sanitizers";
+  }
+  for (const char* mechanism : {"uniform", "adaptive"}) {
+    ParallelPrivateOptions options;
+    options.shard_count = 3;
+    options.queue_capacity = 4096;
+    options.window_size = kPrivateWindow;
+    ParallelPrivateEngine engine(options);
+    ASSERT_TRUE(DeclarePrivateSetup(&engine).ok());
+    ASSERT_TRUE(
+        engine.Activate(NamedMechanismFactory(mechanism), 1.5).ok());
+
+    // Warmup: every subject appears (prototype clone, state, buffers) and
+    // publishes two windows.
+    const Timestamp warm_end = 3 * kPrivateWindow;
+    const EventStream warmup = MakePrivateStream(0, warm_end, /*seed=*/5);
+    ASSERT_TRUE(IngestPrivateBatched(engine, warmup).ok());
+    ASSERT_TRUE(engine.Drain().ok());
+
+    // 40 more windows per subject: 42 published in all, inside the first
+    // 64-bit word of every answer series.
+    const EventStream measured = MakePrivateStream(
+        warm_end, warm_end + 40 * kPrivateWindow, /*seed=*/6);
+
+    bench::ResetAllocCounters();
+    bench::SetAllocCounting(true);
+    ASSERT_TRUE(IngestPrivateBatched(engine, measured).ok());
+    ASSERT_TRUE(engine.Drain().ok());
+    bench::SetAllocCounting(false);
+
+    const bench::AllocCounters counters = bench::GetAllocCounters();
+    EXPECT_EQ(counters.allocs, 0u)
+        << mechanism << ": private steady state allocated " << counters.allocs
+        << " times (" << counters.bytes << " bytes) across "
+        << measured.size() << " events";
+
+    ASSERT_TRUE(engine.Finish().ok());
+    EXPECT_EQ(engine.SubjectIds().size(), kPrivateSubjects);
+    EXPECT_EQ(engine.total_windows(), kPrivateSubjects * 43) << mechanism;
+    ASSERT_TRUE(engine.Stop().ok());
+  }
 }
 
 TEST(AllocRegressionTest, EventCopyWithInlineInternedAttrsIsAllocationFree) {

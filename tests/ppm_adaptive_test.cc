@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.h"
 #include "test_util.h"
 
@@ -162,6 +164,36 @@ TEST(StepwiseSearchTest, ShiftsBudgetTowardTargetCriticalElement) {
   auto tuned = BidirectionalStepwiseSearch(priv, w.Context(), opt).value();
   EXPECT_GT(tuned[0], tuned[1]);
   EXPECT_GT(tuned[0], tuned[2]);
+}
+
+// Algorithm 1's result is a pure function of the history, the options and
+// the Monte-Carlo seed, so the tuned allocations (and the scores behind
+// them) are pinned exactly, for a plain and a repeated-type private
+// pattern. The values were captured from the scorer that perturbed copies
+// of freshly built views; the in-place scorer must reproduce them bit for
+// bit.
+TEST(StepwiseSearchTest, TunedAllocationsArePinned) {
+  World w = SkewedWorld(7, /*num_windows=*/200);
+  AddPattern(&w, "priv_repeat", {0, 1, 0}, DetectionMode::kSequence, true,
+             false);
+  AdaptivePpmOptions opt;
+  opt.trials = 48;
+  opt.max_rounds = 25;
+  // Element 0 of "priv" and element 2 of "priv_repeat" (the occurrence of
+  // type 0 whose output is published) each win one δε step.
+  const std::vector<std::vector<double>> expected = {
+      {0x1.2e147ae147ae2p-1, 0x1.d1eb851eb851ep-2, 0x1.d1eb851eb851ep-2},
+      {0x1.d1eb851eb851ep-2, 0x1.d1eb851eb851ep-2, 0x1.2e147ae147ae2p-1}};
+  const std::vector<double> expected_q = {0x1.39312332a18b5p-1,
+                                          0x1.3b72ab85f1398p-1};
+  for (size_t k = 0; k < w.private_ids.size(); ++k) {
+    const Pattern& priv = w.patterns.Get(w.private_ids[k]);
+    auto tuned = BidirectionalStepwiseSearch(priv, w.Context(), opt).value();
+    const double q =
+        EvaluateAllocationQuality(tuned, priv, w.Context(), 32, 77).value();
+    EXPECT_EQ(tuned.epsilons(), expected[k]) << priv.name();
+    EXPECT_EQ(q, expected_q[k]) << priv.name();
+  }
 }
 
 TEST(AdaptivePpmTest, FallsBackToUniformWithoutHistory) {
