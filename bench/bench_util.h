@@ -110,10 +110,24 @@ struct HarnessArgs {
   size_t cores = 0;
 };
 
+inline void PrintUsage(std::FILE* out, const char* program) {
+  std::fprintf(out,
+               "usage: %s [--quick | --full] [--out=F.csv] [--json F] "
+               "[--cores N] [--help]\n",
+               program);
+}
+
+/// Parses the shared harness flags. `--help` prints usage and exits 0; an
+/// unknown flag, or `--json`/`--cores` without a value, prints usage and
+/// exits 2 instead of starting a run the caller did not ask for.
 inline HarnessArgs ParseArgs(int argc, char** argv) {
   HarnessArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(argv[i], "--help") == 0) {
+      PrintUsage(stdout, argv[0]);
+      std::exit(0);
+    } else if (std::strcmp(argv[i], "--quick") == 0) {
       args.effort = Effort::kQuick;
     } else if (std::strcmp(argv[i], "--full") == 0) {
       args.effort = Effort::kFull;
@@ -121,17 +135,16 @@ inline HarnessArgs ParseArgs(int argc, char** argv) {
       args.csv_out = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       args.json_out = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--json") == 0 && has_value) {
       args.json_out = argv[++i];
     } else if (std::strncmp(argv[i], "--cores=", 8) == 0) {
       args.cores = static_cast<size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--cores") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--cores") == 0 && has_value) {
       args.cores = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else {
-      std::fprintf(stderr,
-                   "unknown flag '%s' (supported: --quick --full --out=F "
-                   "--json F --cores N)\n",
-                   argv[i]);
+      std::fprintf(stderr, "unknown flag or missing value: '%s'\n", argv[i]);
+      PrintUsage(stderr, argv[0]);
+      std::exit(2);
     }
   }
   return args;

@@ -519,7 +519,6 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
       ParallelEngineOptions options;
       options.shard_count = plan.shard_count;
       options.queue_capacity = queue_capacity_;
-      options.seed = seed_;
       options.exchange.shard_count = merge_shards;
       options.exchange.lane_capacity = exchange_capacity_;
       options.exchange.reorder_capacity = reorder_capacity_;
@@ -537,7 +536,7 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
       for (size_t i = 0; i < cross_.size(); ++i) {
         PLDP_ASSIGN_OR_RETURN(
             size_t index,
-            pipeline->runtime_->AddCrossQueryKeyed(
+            pipeline->runtime_->AddCrossQuery(
                 cross_[i].pattern, cross_[i].window, resolved[i].key_id,
                 resolved[i].fn));
         pipeline->cross_map_.push_back(index);

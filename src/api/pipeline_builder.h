@@ -427,8 +427,8 @@ class PipelineBuilder {
   /// queues). See runtime/overload.h for the policy semantics.
   PipelineBuilder& WithOverloadPolicy(OverloadPolicy policy,
                                       size_t pending_capacity = 0);
-  /// Base seed for every deterministic Rng in the pipeline (per-shard and
-  /// per-subject mechanism Rngs derive from it).
+  /// Base seed for every deterministic Rng in the pipeline (the private
+  /// lane's per-subject mechanism Rngs derive from it).
   PipelineBuilder& WithSeed(uint64_t seed);
   /// Pins worker threads round-robin to cores at start (stage-1 shards
   /// first, then merge shards), capped to `max_cores` distinct cores

@@ -148,24 +148,22 @@ Status ParallelPrivateEngine::Activate(MechanismFactory factory,
   ParallelEngineOptions runtime_options;
   runtime_options.shard_count = options_.shard_count;
   runtime_options.queue_capacity = options_.queue_capacity;
-  runtime_options.seed = options_.seed;
   runtime_options.overload = options_.overload;
   runtime_options.sink_factory = [this](size_t) {
     auto sink = std::make_unique<PublisherSink>(MakePublisherOptions());
     publishers_.push_back(sink->publisher());
     return std::unique_ptr<ShardEventSink>(std::move(sink));
   };
-  if (!cross_queries_.empty() || options_.exchange.enabled) {
-    runtime_options.exchange = options_.exchange;
-    runtime_options.exchange.enabled = true;
-    // Privacy invariant of this facade: nothing but protected views may
-    // cross the exchange, whatever the caller configured.
-    runtime_options.exchange.forward_raw_events = false;
-  }
+  runtime_options.exchange = options_.exchange;
+  // Every shard has a publisher sink, so the runtime never forwards a raw
+  // event: only protected views cross the exchange.
   runtime_ = std::make_unique<ParallelStreamingEngine>(runtime_options);
+  // One lane-group under the global key: every view event meets every
+  // cross query on one merge shard, in sequential publication order.
+  const ShardKeyFn global_key = [](const Event&) { return uint64_t{0}; };
   for (const CrossQuery& query : cross_queries_) {
-    StatusOr<size_t> added =
-        runtime_->AddCrossQuery(query.pattern, query.window);
+    StatusOr<size_t> added = runtime_->AddCrossQuery(
+        query.pattern, query.window, "default", global_key);
     if (!added.ok()) {
       runtime_.reset();
       publishers_.clear();

@@ -74,17 +74,17 @@ struct ParallelPrivateOptions {
   size_t shard_count = 0;
   /// Per-shard queue capacity (see ParallelEngineOptions).
   size_t queue_capacity = 1024;
-  /// Base seed: per-shard Rngs and per-subject mechanism Rngs derive from
-  /// it deterministically.
+  /// Base seed: per-subject mechanism Rngs derive from it
+  /// deterministically (see SubjectSeed).
   uint64_t seed = 0x9d11a7eULL;
   /// Tumbling evaluation window applied to every subject's stream. Must be
   /// > 0 at Activate.
   Timestamp window_size = 0;
   Timestamp window_origin = 0;
-  /// Exchange stage configuration for cross-subject target queries.
-  /// Enabled automatically when any cross query is registered;
-  /// forward_raw_events is always forced off — only protected views may
-  /// cross the exchange.
+  /// Exchange sizing for cross-subject target queries; the stage exists
+  /// only when a cross query is registered. Only protected views cross it:
+  /// every shard carries a publisher sink, and a shard with a sink never
+  /// forwards raw events.
   RuntimeExchangeOptions exchange;
   /// Ingest overload policy (runtime/overload.h). Shedding drops raw
   /// events BEFORE perturbation — dropped events consume no privacy

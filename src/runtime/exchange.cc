@@ -62,18 +62,20 @@ Status ExchangeEmitter::PushToLane(size_t consumer, ExchangeItem item) {
   return Status::OK();
 }
 
-Status ExchangeEmitter::AcquireCreditSlow(ExchangeLane& lane) {
+Status ExchangeEmitter::AcquireCreditSlow(ExchangeLane& lane,
+                                          ExchangeKey pending) {
   // One count per wait episode (mirrors the backpressure-wait accounting).
   // order: relaxed; telemetry only.
   credit_exhausted_waits_.fetch_add(1, std::memory_order_relaxed);
   if (obs_.credit_exhausted_waits) obs_.credit_exhausted_waits->Inc();
   // Publish the exact frontier before blocking: every future item of this
-  // row has key >= (trigger_, sub_next_) — including the one we are about
-  // to emit. This lets the merge release every buffered item strictly
-  // below the frontier even though this row has gone quiet, which returns
-  // the credits we are waiting for. Without it, two producers blocked on
-  // each other's unreleased items would deadlock the merge.
-  PLDP_RETURN_IF_ERROR(BroadcastKey(ExchangeKey{trigger_, sub_next_}));
+  // row has key >= `pending` — including the one we are about to emit,
+  // which carries it. This lets the merge release every buffered item
+  // strictly below the frontier even though this row has gone quiet,
+  // which returns the credits we are waiting for. Without it, two
+  // producers blocked on each other's unreleased items would deadlock the
+  // merge.
+  PLDP_RETURN_IF_ERROR(BroadcastKey(pending));
   Backoff backoff;
   // order: acquire pairs with the consumer's release credit return — the
   // buffer slot it freed must be visible before we fill it again.
@@ -97,7 +99,7 @@ Status ExchangeEmitter::Emit(const Event& event) {
   // per lane), so a non-zero read cannot underflow on the fetch_sub.
   // order: acquire pairs with the consumer's release credit return.
   if (lane.credits.load(std::memory_order_acquire) == 0) {
-    PLDP_RETURN_IF_ERROR(AcquireCreditSlow(lane));
+    PLDP_RETURN_IF_ERROR(AcquireCreditSlow(lane, item.key));
   }
   // order: acq_rel; the RMW joins the release sequence on the counter so
   // the consumer's next return composes with ours, and the acquire half

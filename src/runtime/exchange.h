@@ -241,15 +241,17 @@ class ExchangeEmitter {
 
   /// Full-key watermark: every future item on this row has key >= `bound`.
   /// Broadcast(b) is BroadcastKey({b, 0}); the credit slow path uses the
-  /// exact frontier (trigger_, sub_next_) so consumers can release
-  /// everything strictly below the item the producer is blocked on.
+  /// key of the item the producer is blocked on, so consumers can release
+  /// everything strictly below it.
   Status BroadcastKey(ExchangeKey bound) PLDP_REQUIRES(driver_role_);
 
-  /// Credit-exhaustion wait: counts the episode, publishes the frontier
-  /// watermark (without it a cycle of credit-blocked producers could
-  /// deadlock the merge), then spins until the consumer returns a credit
-  /// or the fabric aborts.
-  Status AcquireCreditSlow(ExchangeLane& lane) PLDP_REQUIRES(driver_role_);
+  /// Credit-exhaustion wait: counts the episode, publishes `pending` — the
+  /// key of the item still waiting to be pushed — as the row's watermark
+  /// (without it a cycle of credit-blocked producers could deadlock the
+  /// merge), then spins until the consumer returns a credit or the fabric
+  /// aborts.
+  Status AcquireCreditSlow(ExchangeLane& lane, ExchangeKey pending)
+      PLDP_REQUIRES(driver_role_);
 
   std::vector<ExchangeLane*> row_;
   EventRouter router_;

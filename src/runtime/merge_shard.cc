@@ -172,6 +172,8 @@ bool MergeShard::ReceiveAvailable() {
           // Watermarks only advance the lane's future lower bound.
           if (lane.bound < item.key) lane.bound = item.key;
         } else {
+          // A watermark promised every later item a key at or above it.
+          PLDP_PROTOCOL_ASSERT(lane.bound <= item.key);
           // Events bound the future strictly: later keys exceed this one.
           lane.bound = ExchangeKey{item.key.primary, item.key.sub + 1};
 #ifdef PLDP_CHECK_NEGATIVE_CREDITS

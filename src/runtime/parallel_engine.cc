@@ -26,7 +26,7 @@ constexpr uint64_t kProducerFloorPeriod = 1024;
 }  // namespace
 
 ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
-    : router_(ResolveShardCount(options.shard_count), options.key_fn),
+    : router_(ResolveShardCount(options.shard_count)),
       exchange_options_(options.exchange),
       overload_options_(options.overload),
       pin_threads_(options.pin_threads),
@@ -40,8 +40,7 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
   // capacity is retained across OnEventBatch calls (clear() keeps it).
   for (auto& buf : staging_) buf.reserve(options.queue_capacity);
   for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(i, options.queue_capacity, options.seed));
+    shards_.push_back(std::make_unique<Shard>(i, options.queue_capacity));
     if (options.sink_factory) {
       (void)shards_.back()->SetEventSink(options.sink_factory(i));
     }
@@ -55,26 +54,6 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
     for (auto& shard : shards_) raw.push_back(shard.get());
     admission_ = std::make_unique<AdmissionQueue>(
         overload_options_, std::move(raw), &events_ingested_);
-  }
-
-  if (options.exchange.enabled) {
-    // The default lane-group (key_id ""), configured by options.exchange.
-    // Further groups appear on demand via AddCrossQueryKeyed.
-    ShardKeyFn exchange_key = options.exchange.key_fn;
-    if (!exchange_key) {
-      StatusOr<CorrelationKeyFn> key_or =
-          MakeCorrelationKeyFn(options.exchange.key);
-      if (!key_or.ok()) {
-        init_error_ = key_or.status();
-      } else {
-        exchange_key = std::move(key_or).value();
-      }
-    }
-    if (init_error_.ok()) {
-      StatusOr<size_t> group = GetOrCreateGroup(
-          "", std::move(exchange_key), options.exchange.forward_raw_events);
-      if (!group.ok()) init_error_ = group.status();
-    }
   }
 }
 
@@ -97,13 +76,9 @@ StatusOr<size_t> ParallelStreamingEngine::AddQuery(Pattern pattern,
 }
 
 StatusOr<size_t> ParallelStreamingEngine::GetOrCreateGroup(
-    const std::string& key_id, ShardKeyFn key_fn, bool forward_raw_events) {
+    const std::string& key_id, ShardKeyFn key_fn) {
   for (size_t g = 0; g < groups_.size(); ++g) {
     if (groups_[g].key_id == key_id) return g;
-  }
-  if (running_) {
-    return Status::FailedPrecondition(
-        "exchange lane-groups must be created before Start()");
   }
   if (!key_fn) {
     return Status::InvalidArgument("correlation key_fn must not be null");
@@ -125,15 +100,21 @@ StatusOr<size_t> ParallelStreamingEngine::GetOrCreateGroup(
   for (size_t i = 0; i < n1; ++i) {
     auto emitter = std::make_unique<ExchangeEmitter>(
         group.fabric->Row(i), key_fn, group.fabric.get());
-    PLDP_RETURN_IF_ERROR(
-        shards_[i]->AddExchange(std::move(emitter), forward_raw_events));
+    PLDP_RETURN_IF_ERROR(shards_[i]->AddExchange(std::move(emitter)));
   }
   groups_.push_back(std::move(group));
   return groups_.size() - 1;
 }
 
-StatusOr<size_t> ParallelStreamingEngine::AddCrossQueryToGroup(
-    size_t group_index, Pattern pattern, Timestamp window) {
+StatusOr<size_t> ParallelStreamingEngine::AddCrossQuery(
+    Pattern pattern, Timestamp window, const std::string& key_id,
+    ShardKeyFn key_fn) {
+  if (running_) {
+    return Status::FailedPrecondition(
+        "ParallelStreamingEngine::AddCrossQuery must precede Start()");
+  }
+  PLDP_ASSIGN_OR_RETURN(size_t group_index,
+                        GetOrCreateGroup(key_id, std::move(key_fn)));
   ExchangeGroup& group = groups_[group_index];
   size_t local = 0;
   for (auto& merge_shard : group.merge_shards) {
@@ -144,34 +125,6 @@ StatusOr<size_t> ParallelStreamingEngine::AddCrossQueryToGroup(
   group.query_count = local + 1;
   cross_index_.emplace_back(group_index, local);
   return cross_index_.size() - 1;
-}
-
-StatusOr<size_t> ParallelStreamingEngine::AddCrossQuery(Pattern pattern,
-                                                        Timestamp window) {
-  if (running_) {
-    return Status::FailedPrecondition(
-        "ParallelStreamingEngine::AddCrossQuery must precede Start()");
-  }
-  if (!exchange_options_.enabled || groups_.empty()) {
-    return Status::FailedPrecondition(
-        "cross queries need the exchange stage (options.exchange.enabled), "
-        "or a per-query key via AddCrossQueryKeyed");
-  }
-  // The default group is always the first one created (key_id "").
-  return AddCrossQueryToGroup(0, std::move(pattern), window);
-}
-
-StatusOr<size_t> ParallelStreamingEngine::AddCrossQueryKeyed(
-    Pattern pattern, Timestamp window, const std::string& key_id,
-    ShardKeyFn key_fn) {
-  if (running_) {
-    return Status::FailedPrecondition(
-        "ParallelStreamingEngine::AddCrossQueryKeyed must precede Start()");
-  }
-  PLDP_ASSIGN_OR_RETURN(size_t group_index,
-                        GetOrCreateGroup(key_id, std::move(key_fn),
-                                         exchange_options_.forward_raw_events));
-  return AddCrossQueryToGroup(group_index, std::move(pattern), window);
 }
 
 Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
@@ -237,8 +190,7 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
   merge_capacity_gauges_.assign(groups_.size(), {});
   for (size_t g = 0; g < groups_.size(); ++g) {
     const ExchangeGroup& group = groups_[g];
-    const std::string group_label =
-        group.key_id.empty() ? "default" : group.key_id;
+    const std::string& group_label = group.key_id;
     lane_depth_gauges_[g].resize(shards_.size(), nullptr);
     for (size_t p = 0; p < shards_.size(); ++p) {
       const std::string producer_label = std::to_string(p);
@@ -269,7 +221,7 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
           {{"lane", lane}, {"group", group_label},
            {"producer", producer_label}});
       ins.lane_depth = lane_depth_gauges_[g][p];
-      // Shard hook index g is groups_[g]'s emitter (see header invariant).
+      // Shard emitter index g is groups_[g]'s emitter (see header invariant).
       shards_[p]->exchange_emitter(g)->SetInstruments(ins);
     }
     merge_reorder_gauges_[g].resize(group.merge_shards.size(), nullptr);
@@ -461,7 +413,7 @@ void ParallelStreamingEngine::CollectHealth(obs::PipelineHealth* health,
       const MergeShard& merge = *group.merge_shards[c];
       obs::PipelineHealth::GroupRow row;
       row.lane = lane;
-      row.group = group.key_id.empty() ? "default" : group.key_id;
+      row.group = group.key_id;
       row.merge_shard = c;
       const uint64_t safe = merge.safe_primary();
       row.watermark_lag = safe >= frontier ? 0 : frontier - safe;
@@ -476,7 +428,6 @@ Status ParallelStreamingEngine::Start() {
   if (running_) {
     return Status::FailedPrecondition("engine already running");
   }
-  PLDP_RETURN_IF_ERROR(init_error_);
   InstallCallbackDispatchers();
   if (pin_threads_) {
     // Round-robin core assignment, stage-1 shards first so they land on

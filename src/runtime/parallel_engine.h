@@ -16,9 +16,12 @@
 // (cep/correlation_key.h) over an N1×N2 matrix of SPSC lanes, and stage-2
 // merge shards (runtime/merge_shard.h) restore global order with a
 // watermark-gated k-way merge before matching the cross-subject queries.
-// Cross queries that need *different* correlation keys get one exchange
-// lane-group each (own fabric + merge shards, see AddCrossQueryKeyed);
-// stage-1 workers fan their output through every group's emitter.
+// Each distinct correlation key gets one exchange lane-group (own fabric +
+// merge shards, see AddCrossQuery); stage-1 workers fan their output
+// through every group's emitter. What a worker forwards follows from the
+// topology: a shard without a sink forwards every raw event, a shard with
+// a sink (the private lane's publisher) forwards only what the sink emits,
+// so raw events never cross a private lane's exchange.
 //
 // NOTE: prefer the declarative `PipelineBuilder` (api/pipeline_builder.h)
 // over constructing this engine directly — the builder plans the minimal
@@ -61,7 +64,6 @@
 #include <memory>
 #include <vector>
 
-#include "cep/correlation_key.h"
 #include "cep/streaming_engine.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -78,11 +80,9 @@
 
 namespace pldp {
 
-/// Configuration of the optional repartition/exchange stage.
+/// Sizing of the exchange lane-groups that AddCrossQuery creates.
 struct RuntimeExchangeOptions {
-  /// Off by default: the engine is the familiar single-stage runtime.
-  bool enabled = false;
-  /// Stage-2 merge shards. 0 = as many as stage-1 shards.
+  /// Stage-2 merge shards per lane-group. 0 = as many as stage-1 shards.
   size_t shard_count = 0;
   /// Capacity of each exchange lane (rounded up to a power of two).
   size_t lane_capacity = 1024;
@@ -91,14 +91,6 @@ struct RuntimeExchangeOptions {
   /// (runtime/exchange.h). 0 = kDefaultExchangeReorderCapacity. A merge
   /// shard's total reorder memory is bounded by N1 × this value.
   size_t reorder_capacity = 0;
-  /// How stage-1 output is re-keyed. Ignored when key_fn is set.
-  CorrelationKeySpec key = CorrelationKeySpec::Global();
-  /// Custom correlation key extractor; overrides `key` when set.
-  ShardKeyFn key_fn;
-  /// When true (default) every stage-1 event is forwarded downstream (the
-  /// plain cross-subject path). When false, emission is sink-driven only —
-  /// the private path, where nothing but protected output may cross.
-  bool forward_raw_events = true;
 };
 
 /// Construction-time knobs of the runtime.
@@ -108,17 +100,14 @@ struct ParallelEngineOptions {
   /// Per-shard queue capacity (rounded up to a power of two). Bounds
   /// memory and converts overload into router-side backpressure.
   size_t queue_capacity = 1024;
-  /// Partition key; default = subject (Event::stream()).
-  ShardKeyFn key_fn;
-  /// Seed for the per-shard Rngs (deterministic per shard).
-  uint64_t seed = 0x51a9d5ULL;
   /// Optional per-shard event sink factory, called once per shard at
   /// construction. The sink runs on the shard's worker thread (see
   /// Shard::SetEventSink) — this is how shard-local PLDP perturbation
-  /// attaches (core/parallel_private_engine.h).
+  /// attaches (core/parallel_private_engine.h). With a sink, only what the
+  /// sink emits crosses the exchange; raw events never do.
   std::function<std::unique_ptr<ShardEventSink>(size_t shard_index)>
       sink_factory;
-  /// The cross-subject exchange stage.
+  /// Sizing of the cross-subject exchange stage.
   RuntimeExchangeOptions exchange;
   /// What ingestion does when a shard queue is full (runtime/overload.h).
   /// The default (kBlock) keeps the historic lossless backpressure path
@@ -134,7 +123,7 @@ struct ParallelEngineOptions {
 };
 
 /// Multi-threaded drop-in for StreamingCepEngine (see file comment for the
-/// exact semantics). Lifecycle: AddQuery*/AddCrossQuery* → Start →
+/// exact semantics). Lifecycle: AddQuery/AddCrossQuery → Start →
 /// OnEvent*/OnEventBatch* → Drain/Finish/Stop → read detections/stats.
 /// DetectionsOf and stats are only stable after that barrier; OnEnd (from
 /// StreamReplayer) drains, so results are consistent right after
@@ -148,36 +137,22 @@ class ParallelStreamingEngine : public StreamSubscriber {
   ParallelStreamingEngine& operator=(const ParallelStreamingEngine&) = delete;
 
   size_t shard_count() const { return shards_.size(); }
-  const EventRouter& router() const { return router_; }
-
-  bool exchange_enabled() const { return !groups_.empty(); }
-
-  /// Stage-2 merge shards across all exchange lane-groups.
-  size_t cross_shard_count() const;
 
   /// Registers a continuous query on every stage-1 shard (same index
   /// everywhere). Must precede Start(). Returns the query index.
   StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
 
-  /// Registers a cross-subject query on the default exchange lane-group
-  /// (the one `options.exchange` configures). Requires
-  /// options.exchange.enabled; must precede Start(). Cross queries have
-  /// their own index space, separate from AddQuery's.
-  StatusOr<size_t> AddCrossQuery(Pattern pattern, Timestamp window);
-
-  /// Registers a cross-subject query on its own exchange lane-group,
-  /// selected by `key_id`: queries sharing a key_id share one fabric +
-  /// merge-shard set (the caller guarantees equal key_id implies equal
-  /// key_fn), distinct key_ids get independent lane matrices — this is how
-  /// one pipeline runs several cross queries each under its own
-  /// correlation key. Groups are created on first use with
-  /// options.exchange's shard_count / lane_capacity / forward defaults
-  /// (options.exchange.enabled is NOT required). Must precede Start().
-  /// Returns the cross query index (same global index space as
-  /// AddCrossQuery).
-  StatusOr<size_t> AddCrossQueryKeyed(Pattern pattern, Timestamp window,
-                                      const std::string& key_id,
-                                      ShardKeyFn key_fn);
+  /// Registers a cross-subject query on the exchange lane-group selected
+  /// by `key_id`: queries sharing a key_id share one fabric + merge-shard
+  /// set (the caller guarantees equal key_id implies equal key_fn), and
+  /// distinct key_ids get independent lane matrices — this is how one
+  /// pipeline runs several cross queries each under its own correlation
+  /// key. A group is created on first use, sized by options.exchange.
+  /// Must precede Start(). Returns the cross query index, in an index
+  /// space separate from AddQuery's.
+  StatusOr<size_t> AddCrossQuery(Pattern pattern, Timestamp window,
+                                 const std::string& key_id,
+                                 ShardKeyFn key_fn);
 
   size_t query_count() const { return query_count_; }
   size_t cross_query_count() const { return cross_index_.size(); }
@@ -231,10 +206,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// Drains and joins all workers. Idempotent; called by the destructor.
   Status Stop();
 
-  // order: relaxed; status poll — lifecycle handoffs are synchronized
-  // by Start/Stop themselves, not by this flag.
-  bool running() const { return running_.load(std::memory_order_relaxed); }
-
   // StreamSubscriber — the ingest path (single producer thread).
   Status OnEvent(const Event& event) override;
 
@@ -272,10 +243,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
     return events_ingested_.load(std::memory_order_relaxed);
   }
 
-  /// The active overload policy (kBlock unless options.overload said
-  /// otherwise).
-  OverloadPolicy overload_policy() const { return overload_options_.policy; }
-
   /// Events deliberately dropped by the overload policy (0 under kBlock).
   /// Safe from any thread.
   uint64_t events_shed() const {
@@ -300,18 +267,12 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// merge). Empty without the exchange.
   std::vector<ShardStats> CrossShardStatsSnapshot() const;
 
-  /// The sink attached to a shard (nullptr when none); index < shard_count.
-  ShardEventSink* shard_sink(size_t shard_index) const {
-    return shards_[shard_index]->event_sink();
-  }
-
  private:
   /// One exchange lane-group: a correlation key's fabric plus the merge
   /// shards consuming it. The fabric is declared before the merge shards so
   /// it is destroyed after them (their threads touch the lanes).
   struct ExchangeGroup {
-    /// Dedupe token of the group's correlation key ("" = the default group
-    /// configured by options.exchange).
+    /// Dedupe token of the group's correlation key.
     std::string key_id;
     std::unique_ptr<ExchangeFabric> fabric;
     std::vector<std::unique_ptr<MergeShard>> merge_shards;
@@ -324,16 +285,12 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// group's index into groups_ (stable across later growth, unlike a
   /// pointer).
   StatusOr<size_t> GetOrCreateGroup(const std::string& key_id,
-                                    ShardKeyFn key_fn,
-                                    bool forward_raw_events);
-  StatusOr<size_t> AddCrossQueryToGroup(size_t group_index, Pattern pattern,
-                                        Timestamp window);
+                                    ShardKeyFn key_fn);
+  /// Stage-2 merge shards across all exchange lane-groups.
+  size_t cross_shard_count() const;
 
   EventRouter router_;
-  /// Latched construction error (e.g. malformed correlation spec);
-  /// surfaced by Start().
-  Status init_error_ = Status::OK();
-  /// Exchange defaults applied to lane-groups created after construction.
+  /// Sizing applied to every lane-group AddCrossQuery creates.
   RuntimeExchangeOptions exchange_options_;
   /// Overload policy (kBlock = admission_ stays null, historic path).
   OverloadOptions overload_options_;
@@ -372,7 +329,7 @@ class ParallelStreamingEngine : public StreamSubscriber {
 
   // Telemetry (EnableMetrics). The registry owns the instruments; the
   // engine keeps only the snapshot-time gauges it refreshes itself.
-  // Invariant used below: shard hook index g == groups_[g] (every group
+  // Invariant used below: shard emitter index g == groups_[g] (every group
   // adds exactly one emitter to every shard, in group-creation order).
   obs::MetricsRegistry* metrics_ = nullptr;
   std::string metrics_lane_;

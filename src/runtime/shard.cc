@@ -18,10 +18,8 @@ constexpr size_t kPopBatch = 256;
 
 }  // namespace
 
-Shard::Shard(size_t index, size_t queue_capacity, uint64_t seed)
-    : index_(index),
-      queue_(queue_capacity),
-      rng_(SplitMix64(seed ^ (0xdecaf000ULL + index)).Next()) {
+Shard::Shard(size_t index, size_t queue_capacity)
+    : index_(index), queue_(queue_capacity) {
   queue_.SetWaker(&doorbell_);
   engine_.SetCallback([this](const StreamingDetection& d) {
     // order: relaxed; telemetry only.
@@ -51,8 +49,8 @@ Status Shard::SetEventSink(std::unique_ptr<ShardEventSink> sink) {
   if (sink_ != nullptr) {
     // Emitters wired in before the sink existed still reach it.
     MutexLock lock(reg_mu_);
-    for (ExchangeHook& hook : hooks_) {
-      sink_->AttachExchangeEmitter(hook.emitter.get());
+    for (auto& emitter : emitters_) {
+      sink_->AttachExchangeEmitter(emitter.get());
     }
   }
   return Status::OK();
@@ -78,8 +76,7 @@ Status Shard::SetDetectionCallback(DetectionCallback callback) {
   return Status::OK();
 }
 
-Status Shard::AddExchange(std::unique_ptr<ExchangeEmitter> emitter,
-                          bool forward_raw_events) {
+Status Shard::AddExchange(std::unique_ptr<ExchangeEmitter> emitter) {
   // order: relaxed; pre-start guard, orchestrator-serialized.
   if (running_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition(
@@ -91,26 +88,19 @@ Status Shard::AddExchange(std::unique_ptr<ExchangeEmitter> emitter,
   // The lock makes a late AddExchange well-defined against a concurrent
   // stats()/exchange_count() scrape: push_back can reallocate the vector
   // under an unlocked reader (the bug -Wthread-safety pinned down once
-  // hooks_ was annotated; regression: runtime_shard_race_test).
+  // the list was annotated; regression: runtime_shard_race_test).
   MutexLock lock(reg_mu_);
-  ExchangeHook hook;
-  hook.emitter = std::move(emitter);
-  hook.forward_raw_events = forward_raw_events;
-  hooks_.push_back(std::move(hook));
-  if (sink_ != nullptr) {
-    sink_->AttachExchangeEmitter(hooks_.back().emitter.get());
-  }
+  emitters_.push_back(std::move(emitter));
+  if (sink_ != nullptr) sink_->AttachExchangeEmitter(emitters_.back().get());
   return Status::OK();
 }
 
-std::vector<Shard::ExchangeHookRef> Shard::SnapshotHooks() const {
+std::vector<ExchangeEmitter*> Shard::SnapshotEmitters() const {
   MutexLock lock(reg_mu_);
-  std::vector<ExchangeHookRef> refs;
-  refs.reserve(hooks_.size());
-  for (const ExchangeHook& hook : hooks_) {
-    refs.push_back({hook.emitter.get(), hook.forward_raw_events});
-  }
-  return refs;
+  std::vector<ExchangeEmitter*> emitters;
+  emitters.reserve(emitters_.size());
+  for (const auto& emitter : emitters_) emitters.push_back(emitter.get());
+  return emitters;
 }
 
 Status Shard::Start() {
@@ -130,27 +120,6 @@ Status Shard::Start() {
   // order: relaxed; advisory flag for running() observers.
   running_.store(true, std::memory_order_relaxed);
   return Status::OK();
-}
-
-Status Shard::Push(Event event) {
-  producer_role_.Assert();  // Single-producer contract (see header).
-  StampedEvent stamped;
-  stamped.seq = auto_seq_++;
-  stamped.event = std::move(event);
-  return PushStampedN(&stamped, 1);
-}
-
-Status Shard::PushN(Event* events, size_t count, size_t* accepted) {
-  producer_role_.Assert();  // Single-producer contract (see header).
-  scratch_.clear();
-  scratch_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    StampedEvent stamped;
-    stamped.seq = auto_seq_++;
-    stamped.event = std::move(events[i]);
-    scratch_.push_back(std::move(stamped));
-  }
-  return PushStampedN(scratch_.data(), count, accepted);
 }
 
 Status Shard::PushStampedN(StampedEvent* events, size_t count,
@@ -260,17 +229,9 @@ Status Shard::WaitCommandAck(uint64_t token) {
   return Status::OK();
 }
 
-Status Shard::RequestCommand(uint32_t kind, uint64_t payload) {
-  PLDP_ASSIGN_OR_RETURN(uint64_t token, PostCommand(kind, payload));
-  return WaitCommandAck(token);
-}
-
 Status Shard::RequestFlushWatermark(uint64_t bound) {
-  return RequestCommand(kCmdFlushWatermark, bound);
-}
-
-Status Shard::RequestFinish(uint64_t finish_seq) {
-  return RequestCommand(kCmdFinish, finish_seq);
+  PLDP_ASSIGN_OR_RETURN(uint64_t token, PostCommand(kCmdFlushWatermark, bound));
+  return WaitCommandAck(token);
 }
 
 StatusOr<uint64_t> Shard::PostFinish(uint64_t finish_seq) {
@@ -292,10 +253,10 @@ Status Shard::Stop() {
   // event is ever silently dropped, and a concurrent Drain() waiting on
   // processed_ is released.
   worker_role_.Acquire();
-  const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
+  const std::vector<ExchangeEmitter*> emitters = SnapshotEmitters();
   StampedEvent leftover;
   while (queue_.TryPop(leftover)) {
-    ProcessOne(leftover, hooks);
+    ProcessOne(leftover, emitters);
     if (obs_.events) obs_.events->Inc();
     if (obs_.batch_size) obs_.batch_size->Record(1);
     if (obs_.process_latency_ns) obs_.process_latency_ns->Record(0);
@@ -322,15 +283,15 @@ ShardStats Shard::stats() const {
   s.parks = static_cast<size_t>(doorbell_.parks());
   s.wakes = static_cast<size_t>(doorbell_.wakes());
   MutexLock lock(reg_mu_);
-  for (const ExchangeHook& hook : hooks_) {
-    const ExchangeEmitterStats e = hook.emitter->stats();
+  for (const auto& emitter : emitters_) {
+    const ExchangeEmitterStats e = emitter->stats();
     s.forwarded += e.forwarded;
     s.exchange_backpressure_waits += e.backpressure_waits;
   }
   return s;
 }
 
-void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
+void Shard::ExecuteCommand(const std::vector<ExchangeEmitter*>& emitters) {
   // order: acquire pairs with PostCommand's release bump, covering the
   // payload/kind stores before it.
   const uint64_t gen = cmd_gen_.load(std::memory_order_acquire);
@@ -343,16 +304,16 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
     case kCmdFlushWatermark:
       // The emitters skip bounds they already passed, so a stale request
       // (issued before newer idle watermarks) is free.
-      for (const ExchangeHookRef& hook : hooks) {
-        (void)hook.emitter->Broadcast(payload);
+      for (ExchangeEmitter* emitter : emitters) {
+        (void)emitter->Broadcast(payload);
       }
       break;
     case kCmdFinish:
       // End-of-stream: finalize-time sink output first (stamped with the
       // finish bound), then close every lane of every row for good.
       if (sink_ != nullptr) sink_->OnShardFinish(payload);
-      for (const ExchangeHookRef& hook : hooks) {
-        (void)hook.emitter->Broadcast(kExchangeSeqEnd);
+      for (ExchangeEmitter* emitter : emitters) {
+        (void)emitter->Broadcast(kExchangeSeqEnd);
       }
       break;
     default:
@@ -364,20 +325,23 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
 }
 
 void Shard::ProcessOne(const StampedEvent& stamped,
-                       const std::vector<ExchangeHookRef>& hooks) {
+                       const std::vector<ExchangeEmitter*>& emitters) {
   // One exchange trigger scope per event and per lane-group: everything
-  // emitted while processing it — raw forwards and sink-driven output
-  // alike — is stamped (seq, 0), (seq, 1), ... independently on every
-  // group's row.
-  for (const ExchangeHookRef& hook : hooks) {
-    hook.emitter->BeginTrigger(stamped.seq);
+  // emitted while processing it — the raw forward or the sink's output —
+  // is stamped (seq, 0), (seq, 1), ... independently on every group's row.
+  for (ExchangeEmitter* emitter : emitters) {
+    emitter->BeginTrigger(stamped.seq);
   }
   // The engine's status is always OK today (OnEvent cannot fail); if
   // a future engine surfaces errors we will carry them to Drain().
   (void)engine_.OnEvent(stamped.event);
-  if (sink_ != nullptr) sink_->OnShardEvent(stamped.event);
-  for (const ExchangeHookRef& hook : hooks) {
-    if (hook.forward_raw_events) (void)hook.emitter->Emit(stamped.event);
+  if (sink_ != nullptr) {
+    // A sink owns this shard's downstream output: raw events never cross.
+    sink_->OnShardEvent(stamped.event);
+  } else {
+    for (ExchangeEmitter* emitter : emitters) {
+      (void)emitter->Emit(stamped.event);
+    }
   }
   last_seq_ = stamped.seq;
   processed_any_ = true;
@@ -389,7 +353,7 @@ void Shard::RunLoop() {
   // One snapshot for the thread's lifetime: AddExchange refuses once the
   // shard runs, so the list is frozen and the per-event path stays off
   // the registration mutex.
-  const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
+  const std::vector<ExchangeEmitter*> emitters = SnapshotEmitters();
   // Sequence bound of the last idle watermark this loop broadcast — the
   // park predicate watches the producer floor against it.
   uint64_t last_idle_bound = 0;
@@ -402,7 +366,7 @@ void Shard::RunLoop() {
       // that event's full processing latency (engine + sink + exchange).
       uint64_t t_prev = obs_.process_latency_ns ? obs::MonotonicNowNs() : 0;
       for (size_t i = 0; i < n; ++i) {
-        ProcessOne(batch[i], hooks);
+        ProcessOne(batch[i], emitters);
         if (obs_.process_latency_ns) {
           const uint64_t t_now = obs::MonotonicNowNs();
           obs_.process_latency_ns->Record(t_now - t_prev);
@@ -415,10 +379,10 @@ void Shard::RunLoop() {
       processed_.fetch_add(n, std::memory_order_release);
       // Commands are handled on burst boundaries too, so a saturating
       // producer cannot starve a drain barrier.
-      ExecuteCommand(hooks);
+      ExecuteCommand(emitters);
       continue;
     }
-    ExecuteCommand(hooks);
+    ExecuteCommand(emitters);
     // order: acquire pairs with Stop()'s release store.
     if (stop_requested_.load(std::memory_order_acquire) &&
         queue_.ApproxEmpty()) {
@@ -433,7 +397,7 @@ void Shard::RunLoop() {
     // would wedge the worker, and Drain with it, until a consumer pops);
     // the skipped bound stays pending and is retried on the next turn.
     bool idle_pending = false;
-    if (!hooks.empty()) {
+    if (!emitters.empty()) {
       uint64_t bound = processed_any_ ? last_seq_ + 1 : 0;
       // order: acquire pairs with NoteProducerFloor's release (the empty
       // check below relies on the covered pushes being visible).
@@ -443,8 +407,8 @@ void Shard::RunLoop() {
       // queue observed after the acquire means we processed all of ours.
       if (floor > bound && queue_.ApproxEmpty()) bound = floor;
       if (bound > 0) {
-        for (const ExchangeHookRef& hook : hooks) {
-          if (!hook.emitter->TryBroadcast(bound)) idle_pending = true;
+        for (ExchangeEmitter* emitter : emitters) {
+          if (!emitter->TryBroadcast(bound)) idle_pending = true;
         }
         last_idle_bound = bound;
       }
@@ -459,7 +423,7 @@ void Shard::RunLoop() {
       // ring directly. See runtime/backoff.h for the lost-wakeup
       // argument; `watch_floor` wakes the loop when there is new idle-
       // watermark progress to broadcast.
-      const bool watch_floor = !hooks.empty();
+      const bool watch_floor = !emitters.empty();
       const uint64_t idle_bound = last_idle_bound;
       (void)doorbell_.ParkUnless([this, watch_floor, idle_bound] {
         if (!queue_.ApproxEmpty()) return true;

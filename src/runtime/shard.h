@@ -4,14 +4,19 @@
 //
 // A shard owns a worker thread, a bounded SPSC queue feeding it, a private
 // `StreamingCepEngine` (never touched by any other thread while running),
-// a deterministic per-shard `Rng`, optionally a `ShardEventSink` the worker
-// feeds every event to after the engine — the hook the shard-local PLDP
-// perturbation pipeline (core/parallel_private_engine.h) plugs into — and
-// any number of `ExchangeEmitter`s (runtime/exchange.h) through which the
-// worker re-keys its output into stage-2 fabrics. Each emitter belongs to
-// one exchange lane-group (one correlation key); a pipeline with per-query
-// correlation keys attaches one emitter per distinct key, and the worker
-// fans every processed event out through all of them.
+// optionally a `ShardEventSink` the worker feeds every event to after the
+// engine — the hook the shard-local PLDP perturbation pipeline
+// (core/parallel_private_engine.h) plugs into — and any number of
+// `ExchangeEmitter`s (runtime/exchange.h) through which the worker re-keys
+// its output into stage-2 fabrics. Each emitter belongs to one exchange
+// lane-group (one correlation key); a pipeline with per-query correlation
+// keys attaches one emitter per distinct key.
+//
+// What crosses the exchange follows from the topology: a shard without a
+// sink forwards every processed event through all of its emitters (the
+// plain cross-subject path); a shard with a sink forwards nothing itself,
+// and only what the sink emits crosses (the private path, where nothing
+// but protected views may leave the shard).
 //
 // Every queued event carries its global ingest sequence number
 // (`StampedEvent`); the worker opens an exchange trigger scope per event so
@@ -20,22 +25,23 @@
 //
 // Threading contract:
 //   - Exactly one thread (the router / ParallelStreamingEngine caller) may
-//     call Push / PushN at a time; the worker thread is the only consumer.
+//     call PushStampedN / TryPushStampedN at a time; the worker thread is
+//     the only consumer.
 //   - AddQuery / SetEventSink / AddExchange must happen before Start. Start
 //     and Stop must not race each other or a pushing producer (they manage
-//     the worker thread), but Push racing a Stop fails fast instead of
+//     the worker thread), but a push racing a Stop fails fast instead of
 //     hanging.
 //   - Drain() and stats() may be called from any thread, including while a
 //     producer is pushing: the counters (and the running flag) are atomics,
 //     so the calls are race-free. A Drain that races a producer waits for
 //     the events pushed at the moment it reads `pushed_` (best effort by
 //     construction).
-//   - RequestFlushWatermark / RequestFinish are issued by one orchestrator
-//     thread after a Drain; they run on the worker and return once it
-//     acknowledged. The orchestrator's claim that the shard has seen every
-//     event below the given bound inherits Drain's best-effort semantics
-//     under racing producers.
-//   - engine() and event_sink() contents are safe to read after Drain() or
+//   - RequestFlushWatermark / PostFinish are issued by one orchestrator
+//     thread after a Drain; they run on the worker and are acknowledged
+//     through WaitCommandAck. The orchestrator's claim that the shard has
+//     seen every event below the given bound inherits Drain's best-effort
+//     semantics under racing producers.
+//   - engine() and sink contents are safe to read after Drain() or
 //     Stop() returned: the worker publishes each processed batch with a
 //     release store that Drain observes with an acquire load, which orders
 //     all engine/sink mutations before the caller's reads. Command
@@ -51,7 +57,6 @@
 
 #include "cep/streaming_engine.h"
 #include "common/atomic.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "event/event.h"
@@ -106,7 +111,7 @@ class ShardEventSink {
   /// ignore.
   virtual void AttachExchangeEmitter(ExchangeEmitter* /*emitter*/) {}
 
-  /// End-of-stream, delivered on the worker thread by RequestFinish after
+  /// End-of-stream, delivered on the worker thread by PostFinish after
   /// every event. `finish_seq` is the sequence bound of the stream (all
   /// processed events have seq < finish_seq); finalize-time emissions must
   /// use it as their trigger. Default: no-op.
@@ -117,9 +122,8 @@ class ShardEventSink {
 class Shard {
  public:
   /// `queue_capacity` is rounded up to a power of two (and clamped to
-  /// kMaxSpscCapacity). `seed` derives the per-shard Rng (deterministic per
-  /// shard across runs).
-  Shard(size_t index, size_t queue_capacity, uint64_t seed);
+  /// kMaxSpscCapacity).
+  Shard(size_t index, size_t queue_capacity);
   ~Shard();
 
   Shard(const Shard&) = delete;
@@ -130,7 +134,9 @@ class Shard {
   /// Registers a query on this shard's engine. Must precede Start().
   StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
 
-  /// Installs the worker-side event sink. Must precede Start().
+  /// Installs the worker-side event sink. A shard with a sink never
+  /// forwards raw events into its exchange emitters; only the sink's own
+  /// emissions cross. Must precede Start().
   Status SetEventSink(std::unique_ptr<ShardEventSink> sink);
 
   /// Binds telemetry instruments (obs/instruments.h). Null fields are
@@ -143,41 +149,29 @@ class Shard {
   /// detection counter. Must precede Start().
   Status SetDetectionCallback(DetectionCallback callback);
 
-  ShardEventSink* event_sink() const { return sink_.get(); }
-
   /// Pins the worker thread to `core` at startup (no-op when negative or
   /// unsupported on this platform). Must precede Start().
   void SetAffinityCore(int core) { affinity_core_ = core; }
 
-  /// Wires this shard into one more exchange fabric (one lane-group). When
-  /// `forward_raw_events` is set the worker emits every processed event
-  /// through this emitter (the plain cross-subject path); otherwise this
-  /// emitter's emission is entirely sink-driven (the private path, where
-  /// only protected views may cross). May be called once per lane-group;
+  /// Wires this shard into one more exchange fabric (one lane-group). The
+  /// worker forwards every processed event through it unless the shard has
+  /// a sink (see the file comment). May be called once per lane-group;
   /// must precede Start().
-  Status AddExchange(std::unique_ptr<ExchangeEmitter> emitter,
-                     bool forward_raw_events) PLDP_EXCLUDES(reg_mu_);
+  Status AddExchange(std::unique_ptr<ExchangeEmitter> emitter)
+      PLDP_EXCLUDES(reg_mu_);
 
   /// Launches the worker thread. Returns FailedPrecondition if running.
   Status Start();
 
-  /// Enqueues one event, blocking (spin + yield) while the queue is full.
-  /// Producer thread only; requires a running worker — fails fast with
+  /// Bulk enqueue: moves `count` pre-stamped events out of `events` into
+  /// the queue, blocking (spin + yield) while it is full. Sequence numbers
+  /// must be strictly increasing across all pushes to this shard. Producer
+  /// thread only; requires a running worker — fails fast with
   /// FailedPrecondition when the shard is stopped or stopping, instead of
-  /// spinning forever on a queue nobody drains. Events pushed through this
-  /// overload are stamped with a shard-local sequence (standalone use);
-  /// the sharded engine pushes pre-stamped events carrying global numbers.
-  Status Push(Event event);
-
-  /// Bulk enqueue: moves `count` events out of `events` into the queue,
-  /// blocking while it is full. Same preconditions as Push; one release
-  /// store per queue burst instead of one per event. When `accepted` is
-  /// non-null it receives the number of events actually enqueued (== count
-  /// on success, possibly fewer when failing fast on a stop).
-  Status PushN(Event* events, size_t count, size_t* accepted = nullptr);
-
-  /// Pre-stamped bulk enqueue (the sharded engine's path). Sequence numbers
-  /// must be strictly increasing across all pushes to this shard.
+  /// spinning forever on a queue nobody drains. One release store per
+  /// queue burst. When `accepted` is non-null it receives the number of
+  /// events actually enqueued (== count on success, possibly fewer when
+  /// failing fast on a stop).
   Status PushStampedN(StampedEvent* events, size_t count,
                       size_t* accepted = nullptr);
 
@@ -193,7 +187,7 @@ class Shard {
   /// shard that receives little or no traffic broadcast idle watermarks
   /// that track the global stream instead of staying silent until the
   /// next drain barrier — without it, skewed routings buffer everything
-  /// downstream. Same caller as Push (the single ingest thread).
+  /// downstream. Same caller as PushStampedN (the single ingest thread).
   void NoteProducerFloor(uint64_t floor) {
     // order: release so everything pushed before the floor claim is
     // visible to the worker's acquire load.
@@ -211,14 +205,11 @@ class Shard {
   /// holds. No-op without an emitter (still acknowledged).
   Status RequestFlushWatermark(uint64_t bound);
 
-  /// Delivers end-of-stream on the worker: the sink's OnShardFinish runs
-  /// (emitting any finalize-time output), then the exchange row is closed
-  /// with terminal watermarks. Call after Drain, with ingestion stopped.
-  Status RequestFinish(uint64_t finish_seq);
-
-  /// Split finish for multi-shard orchestration: posts the end-of-stream
-  /// command without waiting and returns the acknowledgement token for
-  /// WaitCommandAck. Under bounded exchange credits one shard's finalize
+  /// Posts end-of-stream to the worker without waiting and returns the
+  /// acknowledgement token for WaitCommandAck: the sink's OnShardFinish
+  /// runs (emitting any finalize-time output), then the exchange row is
+  /// closed with terminal watermarks. Call after Drain, with ingestion
+  /// stopped. Under bounded exchange credits one shard's finalize
   /// emissions may only be releasable once every other shard's terminal
   /// watermark is in flight — so the orchestrator must post finish to ALL
   /// shards before waiting on ANY (see ParallelStreamingEngine::Finish).
@@ -240,11 +231,8 @@ class Shard {
   /// valid when the shard is stopped or drained (see threading contract).
   const StreamingCepEngine& engine() const { return engine_; }
 
-  /// Shard-local deterministic Rng (shard-local stochastic work).
-  Rng& rng() { return rng_; }
-
   /// Safe from any thread at any time: the counters are atomics, and the
-  /// attached-hook list is read under the registration mutex so a scrape
+  /// attached-emitter list is read under the registration mutex so a scrape
   /// racing a late AddExchange (both pre-Start) is well-defined.
   ShardStats stats() const PLDP_EXCLUDES(reg_mu_);
 
@@ -263,11 +251,11 @@ class Shard {
   /// thread-safe; used to wire per-lane instruments.
   size_t exchange_count() const PLDP_EXCLUDES(reg_mu_) {
     MutexLock lock(reg_mu_);
-    return hooks_.size();
+    return emitters_.size();
   }
   ExchangeEmitter* exchange_emitter(size_t i) PLDP_EXCLUDES(reg_mu_) {
     MutexLock lock(reg_mu_);
-    return hooks_[i].emitter.get();
+    return emitters_[i].get();
   }
 
  private:
@@ -277,35 +265,23 @@ class Shard {
     kCmdFinish = 2,
   };
 
-  /// One attached exchange lane-group: the emitter plus whether the worker
-  /// forwards every raw event through it (vs sink-driven emission only).
-  struct ExchangeHook {
-    std::unique_ptr<ExchangeEmitter> emitter;
-    bool forward_raw_events = false;
-  };
-
-  /// Non-owning view of one hook: what the worker loop actually iterates.
-  /// The worker snapshots the hook list once at startup (the list is
+  /// The worker snapshots the emitter list once at startup (the list is
   /// frozen by then — AddExchange refuses while running) so the per-event
   /// path never touches the mutex-guarded vector.
-  struct ExchangeHookRef {
-    ExchangeEmitter* emitter = nullptr;
-    bool forward_raw_events = false;
-  };
-
-  std::vector<ExchangeHookRef> SnapshotHooks() const PLDP_EXCLUDES(reg_mu_);
+  std::vector<ExchangeEmitter*> SnapshotEmitters() const
+      PLDP_EXCLUDES(reg_mu_);
 
   void RunLoop() PLDP_REQUIRES(worker_role_);
-  /// Delivers one event to the engine, the sink, and every exchange hook —
-  /// the per-event section of the worker loop (also used by Stop's
-  /// post-join leftover absorption, under the role handoff).
+  /// Delivers one event to the engine and then to the sink, or, without a
+  /// sink, to every exchange emitter — the per-event section of the worker
+  /// loop (also used by Stop's post-join leftover absorption, under the
+  /// role handoff).
   PLDP_HOT void ProcessOne(const StampedEvent& stamped,
-                           const std::vector<ExchangeHookRef>& hooks)
+                           const std::vector<ExchangeEmitter*>& emitters)
       PLDP_REQUIRES(worker_role_);
-  void ExecuteCommand(const std::vector<ExchangeHookRef>& hooks)
+  void ExecuteCommand(const std::vector<ExchangeEmitter*>& emitters)
       PLDP_REQUIRES(worker_role_);
   StatusOr<uint64_t> PostCommand(uint32_t kind, uint64_t payload);
-  Status RequestCommand(uint32_t kind, uint64_t payload);
 
   const size_t index_;
   SpscQueue<StampedEvent> queue_;
@@ -315,13 +291,13 @@ class Shard {
   /// Worker thread CPU affinity (-1 = unpinned).
   int affinity_core_ = -1;
   StreamingCepEngine engine_;
-  Rng rng_;
   std::unique_ptr<ShardEventSink> sink_;
-  /// Guards the hook list: AddExchange (orchestrator, pre-Start) can race
-  /// a stats()/exchange_count() scrape, and vector growth is not atomic.
-  /// The worker never takes it (see SnapshotHooks).
+  /// Guards the emitter list: AddExchange (orchestrator, pre-Start) can
+  /// race a stats()/exchange_count() scrape, and vector growth is not
+  /// atomic. The worker never takes it (see SnapshotEmitters).
   mutable Mutex reg_mu_;
-  std::vector<ExchangeHook> hooks_ PLDP_GUARDED_BY(reg_mu_);
+  std::vector<std::unique_ptr<ExchangeEmitter>> emitters_
+      PLDP_GUARDED_BY(reg_mu_);
   // Telemetry bundle (null fields = un-instrumented) and the optional user
   // detection callback; both fixed before Start, read on the worker.
   obs::ShardInstruments obs_;
@@ -331,21 +307,16 @@ class Shard {
   // read it race-free.
   Atomic<bool> running_{false};
 
-  /// Confinement tokens (zero-size, zero-cost — see thread_annotations.h):
-  /// worker_role_ is held by the worker thread (and by Stop after the
-  /// join, the documented handoff); producer_role_ is the single-pushing-
-  /// thread contract, asserted at the Push entry points.
+  /// Confinement token (zero-size, zero-cost — see thread_annotations.h):
+  /// held by the worker thread, and by Stop after the join (the documented
+  /// handoff).
   ThreadRole worker_role_;
-  ThreadRole producer_role_;
 
-  // Producer-side state. The counters are written by the producer thread
-  // only (relaxed) but read from arbitrary threads by Drain()/stats(),
-  // hence atomic; auto_seq_/scratch_ are producer-private.
+  // Producer-side counters: written by the producer thread only (relaxed)
+  // but read from arbitrary threads by Drain()/stats(), hence atomic.
   Atomic<uint64_t> pushed_{0};
   Atomic<uint64_t> backpressure_waits_{0};
   Atomic<uint64_t> producer_floor_{0};
-  uint64_t auto_seq_ PLDP_GUARDED_BY(producer_role_) = 0;
-  std::vector<StampedEvent> scratch_ PLDP_GUARDED_BY(producer_role_);
 
   // Orchestrator → worker command channel: payload/kind are published by
   // the generation counter (release) and acknowledged by the worker

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cep/correlation_key.h"
 #include "common/random.h"
 #include "core/parallel_private_engine.h"
 #include "event/symbol_table.h"
@@ -236,18 +237,20 @@ TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
   ParallelEngineOptions options;
   options.shard_count = 2;
   options.queue_capacity = 4096;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 2;
   options.exchange.lane_capacity = 1024;
-  options.exchange.key = CorrelationKeySpec::ByAttribute("grp");
   ParallelStreamingEngine engine(options);
+  const ShardKeyFn key =
+      MakeCorrelationKeyFn(CorrelationKeySpec::ByAttribute("grp")).value();
   for (size_t k = 0; k < kSubjects; ++k) {
     const auto base = static_cast<EventTypeId>(k * kTypesPerSubject);
     auto pattern = Pattern::Create("seq", {base, base + 1, base + 2},
                                    DetectionMode::kSequence);
     ASSERT_TRUE(pattern.ok());
-    ASSERT_TRUE(
-        engine.AddCrossQuery(std::move(pattern).value(), kWindow).ok());
+    ASSERT_TRUE(engine
+                    .AddCrossQuery(std::move(pattern).value(), kWindow,
+                                   "grp", key)
+                    .ok());
   }
   ASSERT_TRUE(engine.Start().ok());
 

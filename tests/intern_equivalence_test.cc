@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cep/correlation_key.h"
 #include "cep/predicate.h"
 #include "core/parallel_private_engine.h"
 #include "core/private_engine.h"
@@ -104,14 +105,16 @@ std::vector<Timestamp> ZoneKeyedCrossDetections(const EventStream& stream,
                                                 size_t stage1_shards) {
   ParallelEngineOptions options;
   options.shard_count = stage1_shards;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 2;
-  options.exchange.key = CorrelationKeySpec::ByAttribute("equiv_zone");
   ParallelStreamingEngine engine(options);
   EXPECT_TRUE(
       engine
           .AddCrossQuery(
-              MakePattern("xseq", {0, 1}, DetectionMode::kSequence), kWindow)
+              MakePattern("xseq", {0, 1}, DetectionMode::kSequence), kWindow,
+              "equiv_zone",
+              MakeCorrelationKeyFn(
+                  CorrelationKeySpec::ByAttribute("equiv_zone"))
+                  .value())
           .ok());
   EXPECT_TRUE(engine.Start().ok());
   StreamReplayer replayer;

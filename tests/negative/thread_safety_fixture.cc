@@ -15,9 +15,10 @@
 //   * `thread_safety_producer_token_negative` — with
 //     -DPLDP_SEED_PRODUCER_TOKEN_VIOLATION. Seeds a read of a
 //     ThreadRole-confined member without asserting the role first — the
-//     exact mistake Shard's single-producer role (`producer_role_`) guards
-//     against: touching the pushing thread's stamping state from a thread
-//     that never claimed the producer token. Also WILL_FAIL.
+//     exact mistake ParallelStreamingEngine's single-ingest-thread role
+//     (`ingest_role_`) guards against: touching the ingest thread's
+//     staging state from a thread that never claimed the token. Also
+//     WILL_FAIL.
 //
 // This file is NOT part of any build target; it is only ever syntax-checked.
 

@@ -66,7 +66,7 @@ TEST(OverloadPolicyTest, NamesRoundTripThroughTheParser) {
 // --- AdmissionQueue unit tests (deterministic: worker not running) ---------
 
 TEST(AdmissionQueueTest, ShedOldestDropsOldestParkedEventDeterministically) {
-  Shard shard(0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(0, /*queue_capacity=*/8);
   OverloadOptions options;
   options.policy = OverloadPolicy::kShedOldest;
   options.pending_capacity = 4;
@@ -104,7 +104,7 @@ TEST(AdmissionQueueTest, ShedOldestDropsOldestParkedEventDeterministically) {
 }
 
 TEST(AdmissionQueueTest, ShedBySubjectQuarantinesOverflowingSubjects) {
-  Shard shard(0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(0, /*queue_capacity=*/8);
   OverloadOptions options;
   options.policy = OverloadPolicy::kShedBySubject;
   options.pending_capacity = 2;
@@ -146,7 +146,7 @@ TEST(AdmissionQueueTest, ShedBySubjectQuarantinesOverflowingSubjects) {
 }
 
 TEST(AdmissionQueueTest, BlockPolicyParksWithoutCapAndShedsNothing) {
-  Shard shard(0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(0, /*queue_capacity=*/8);
   OverloadOptions options;
   options.policy = OverloadPolicy::kBlock;
   options.pending_capacity = 2;
@@ -166,7 +166,7 @@ TEST(AdmissionQueueTest, BlockPolicyParksWithoutCapAndShedsNothing) {
 }
 
 TEST(AdmissionQueueTest, PumpFlushesOpportunisticallyOnceTheQueueHasRoom) {
-  Shard shard(0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(0, /*queue_capacity=*/8);
   OverloadOptions options;
   options.policy = OverloadPolicy::kShedOldest;
   options.pending_capacity = 4;

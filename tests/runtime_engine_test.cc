@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -273,36 +274,39 @@ TEST(ParallelEngineTest, ShardStatsAccountForEveryEvent) {
 }
 
 TEST(ShardTest, PushAfterStopFailsFastInsteadOfSpinning) {
-  Shard shard(/*index=*/0, /*queue_capacity=*/16, /*seed=*/1);
+  Shard shard(/*index=*/0, /*queue_capacity=*/16);
   ASSERT_TRUE(shard.AddQuery(MakePattern("p", {0, 1},
                                          DetectionMode::kSequence),
                              /*window=*/10)
                   .ok());
   ASSERT_TRUE(shard.Start().ok());
-  ASSERT_TRUE(shard.Push(Event(0, 1)).ok());
+  StampedEvent first{0, Event(0, 1)};
+  ASSERT_TRUE(shard.PushStampedN(&first, 1).ok());
   ASSERT_TRUE(shard.Stop().ok());
   // If this spun on the dead worker's full queue the test would time out;
   // the contract is an immediate FailedPrecondition.
-  EXPECT_FALSE(shard.Push(Event(1, 2)).ok());
-  Event batch[2] = {Event(0, 3), Event(1, 4)};
-  EXPECT_FALSE(shard.PushN(batch, 2).ok());
+  StampedEvent late{1, Event(1, 2)};
+  EXPECT_FALSE(shard.PushStampedN(&late, 1).ok());
+  StampedEvent batch[2] = {{2, Event(0, 3)}, {3, Event(1, 4)}};
+  EXPECT_FALSE(shard.PushStampedN(batch, 2).ok());
   EXPECT_EQ(shard.stats().events_processed, 1u);
 }
 
 TEST(ShardTest, BulkPushDeliversEverythingInOrder) {
-  Shard shard(/*index=*/0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(/*index=*/0, /*queue_capacity=*/8);
   ASSERT_TRUE(shard.AddQuery(MakePattern("p", {0, 1},
                                          DetectionMode::kSequence),
                              /*window=*/10)
                   .ok());
   ASSERT_TRUE(shard.Start().ok());
-  // Larger than the queue: PushN must chunk through backpressure.
-  std::vector<Event> events;
+  // Larger than the queue: PushStampedN must chunk through backpressure.
+  std::vector<StampedEvent> events;
   for (int i = 0; i < 1000; ++i) {
-    events.push_back(Event(static_cast<EventTypeId>(i % 2),
-                           static_cast<Timestamp>(i)));
+    events.push_back({static_cast<uint64_t>(i),
+                      Event(static_cast<EventTypeId>(i % 2),
+                            static_cast<Timestamp>(i))});
   }
-  ASSERT_TRUE(shard.PushN(events.data(), events.size()).ok());
+  ASSERT_TRUE(shard.PushStampedN(events.data(), events.size()).ok());
   ASSERT_TRUE(shard.Drain().ok());
   EXPECT_EQ(shard.stats().events_processed, 1000u);
   // Alternating 0,1 within window 10 → the sequence completes repeatedly;
@@ -310,6 +314,58 @@ TEST(ShardTest, BulkPushDeliversEverythingInOrder) {
   EXPECT_GT(shard.stats().detections, 0u);
   EXPECT_EQ(shard.stats().detections, shard.engine().total_detections());
   ASSERT_TRUE(shard.Stop().ok());
+}
+
+/// Swallows every event: a stand-in for the private lane's publisher sink
+/// that never emits anything itself.
+class NoopSink : public ShardEventSink {
+ public:
+  void OnShardEvent(const Event& /*event*/) override {}
+};
+
+/// Runs `n` events through a shard wired to one exchange lane, with or
+/// without a sink, and returns how many raw events reached the lane
+/// (watermarks aside). `stats` receives the shard's counters.
+size_t RawEventsOnLane(bool with_sink, size_t n, ShardStats* stats) {
+  ExchangeFabric fabric(1, 1, /*lane_capacity=*/1024);
+  Shard shard(/*index=*/0, /*queue_capacity=*/64);
+  if (with_sink) {
+    EXPECT_TRUE(shard.SetEventSink(std::make_unique<NoopSink>()).ok());
+  }
+  EXPECT_TRUE(shard
+                  .AddExchange(std::make_unique<ExchangeEmitter>(
+                      fabric.Row(0), nullptr, &fabric))
+                  .ok());
+  EXPECT_TRUE(shard.Start().ok());
+  for (uint64_t i = 0; i < n; ++i) {
+    StampedEvent stamped{i, Event(static_cast<EventTypeId>(i % 2),
+                                  static_cast<Timestamp>(i), /*stream=*/1)};
+    EXPECT_TRUE(shard.PushStampedN(&stamped, 1).ok());
+  }
+  EXPECT_TRUE(shard.Drain().ok());
+  *stats = shard.stats();
+  EXPECT_TRUE(shard.Stop().ok());
+  // The worker is joined: this thread is now the lane's only consumer.
+  size_t raw = 0;
+  ExchangeItem item;
+  while (fabric.lane(0, 0).queue.TryPop(item)) {
+    if (!item.watermark) ++raw;
+  }
+  return raw;
+}
+
+// The private lane's privacy rule holds by construction: a shard with a
+// sink never forwards a raw event into its exchange, while a shard without
+// one forwards every event it processes.
+TEST(ShardTest, ShardWithSinkForwardsNoRawEvents) {
+  ShardStats stats;
+  EXPECT_EQ(RawEventsOnLane(/*with_sink=*/true, 100, &stats), 0u);
+  EXPECT_EQ(stats.events_processed, 100u);
+  EXPECT_EQ(stats.forwarded, 0u);
+
+  EXPECT_EQ(RawEventsOnLane(/*with_sink=*/false, 100, &stats), 100u);
+  EXPECT_EQ(stats.events_processed, 100u);
+  EXPECT_EQ(stats.forwarded, 100u);
 }
 
 TEST(ParallelEngineTest, IngestionMayContinueAfterDrain) {
@@ -335,7 +391,6 @@ TEST(ParallelEngineTest, IngestionMayContinueAfterDrain) {
 TEST(ParallelEngineTest, UnknownQueryLookupsAreHardErrors) {
   ParallelEngineOptions options;
   options.shard_count = 2;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 1;
   ParallelStreamingEngine engine(options);
   ASSERT_TRUE(engine
@@ -348,7 +403,8 @@ TEST(ParallelEngineTest, UnknownQueryLookupsAreHardErrors) {
                   .AddCrossQuery(Pattern::Create("c", {0, 1},
                                                  DetectionMode::kConjunction)
                                      .value(),
-                                 /*window=*/4)
+                                 /*window=*/4, "global",
+                                 [](const Event&) { return uint64_t{0}; })
                   .ok());
   ASSERT_TRUE(engine.Start().ok());
   ASSERT_TRUE(engine.Drain().ok());

@@ -89,16 +89,23 @@ StreamingCepEngine MakeReference(const EventStream& stream, size_t groups) {
   return reference;
 }
 
-ParallelEngineOptions ExchangeConfig(size_t stage1, size_t stage2,
-                                     CorrelationKeySpec key) {
+ParallelEngineOptions ExchangeConfig(size_t stage1, size_t stage2) {
   ParallelEngineOptions options;
   options.shard_count = stage1;
   options.queue_capacity = 128;
-  options.exchange.enabled = true;
   options.exchange.shard_count = stage2;
   options.exchange.lane_capacity = 64;  // small: exercise lane backpressure
-  options.exchange.key = std::move(key);
   return options;
+}
+
+/// Registers cross queries on `engine` under the correlation key `spec`
+/// (one lane-group per engine).
+auto CrossAdder(ParallelStreamingEngine& engine,
+                const CorrelationKeySpec& spec) {
+  ShardKeyFn key_fn = MakeCorrelationKeyFn(spec).value();
+  return [&engine, key_fn](Pattern p, Timestamp w) {
+    return engine.AddCrossQuery(std::move(p), w, "test", key_fn);
+  };
 }
 
 TEST(ExchangeEngineTest, CrossDetectionsEqualSequentialEngine) {
@@ -112,13 +119,10 @@ TEST(ExchangeEngineTest, CrossDetectionsEqualSequentialEngine) {
   for (const auto& [stage1, stage2] :
        std::vector<std::pair<size_t, size_t>>{
            {1, 1}, {2, 2}, {4, 4}, {1, 4}, {4, 1}, {2, 3}}) {
-    ParallelEngineOptions options = ExchangeConfig(
-        stage1, stage2, CorrelationKeySpec::ByAttribute("grp"));
+    ParallelEngineOptions options = ExchangeConfig(stage1, stage2);
     ParallelStreamingEngine engine(options);
     RegisterGroupQueries(
-        [&engine](Pattern p, Timestamp w) {
-          return engine.AddCrossQuery(std::move(p), w);
-        },
+        CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp")),
         kGroups);
     ASSERT_TRUE(engine.Start().ok());
 
@@ -163,13 +167,10 @@ TEST(ExchangeEngineTest, GlobalKeySkewsToSingleMergeShard) {
       CrossSubjectStream(kGroups, /*subjects=*/16, 8000, /*seed=*/13);
   const StreamingCepEngine reference = MakeReference(stream, kGroups);
 
-  ParallelEngineOptions options =
-      ExchangeConfig(/*stage1=*/3, /*stage2=*/4, CorrelationKeySpec::Global());
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/3, /*stage2=*/4);
   ParallelStreamingEngine engine(options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
-      },
+      CrossAdder(engine, CorrelationKeySpec::Global()),
       kGroups);
   ASSERT_TRUE(engine.Start().ok());
   for (const Event& e : stream) ASSERT_TRUE(engine.OnEvent(e).ok());
@@ -202,13 +203,10 @@ TEST(ExchangeEngineTest, EmptyStageOneShardsDoNotStallTheMerge) {
   const StreamingCepEngine reference = MakeReference(stream, kGroups);
   ASSERT_GT(reference.total_detections(), 0u);
 
-  ParallelEngineOptions options = ExchangeConfig(
-      /*stage1=*/6, /*stage2=*/2, CorrelationKeySpec::ByAttribute("grp"));
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/6, /*stage2=*/2);
   ParallelStreamingEngine engine(options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
-      },
+      CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp")),
       kGroups);
   ASSERT_TRUE(engine.Start().ok());
   for (const Event& e : stream) ASSERT_TRUE(engine.OnEvent(e).ok());
@@ -237,13 +235,10 @@ TEST(ExchangeEngineTest, SilentShardsDoNotStallMergeBetweenBarriers) {
   const EventStream stream =
       CrossSubjectStream(kGroups, /*subjects=*/1, 6000, /*seed=*/59);
 
-  ParallelEngineOptions options = ExchangeConfig(
-      /*stage1=*/6, /*stage2=*/2, CorrelationKeySpec::ByAttribute("grp"));
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/6, /*stage2=*/2);
   ParallelStreamingEngine engine(options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
-      },
+      CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp")),
       kGroups);
   ASSERT_TRUE(engine.Start().ok());
   // Per-event ingest crosses the floor-publication period (1024) several
@@ -267,13 +262,10 @@ TEST(ExchangeEngineTest, SilentShardsDoNotStallMergeBetweenBarriers) {
 // Satellite edge case: a zero-event stream must flow end-of-stream through
 // both stages (replayer OnEnd → drain barrier at bound 0) without hanging.
 TEST(ExchangeEngineTest, ZeroEventStream) {
-  ParallelEngineOptions options = ExchangeConfig(
-      /*stage1=*/2, /*stage2=*/2, CorrelationKeySpec::ByAttribute("grp"));
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/2, /*stage2=*/2);
   ParallelStreamingEngine engine(options);
-  ASSERT_TRUE(engine
-                  .AddCrossQuery(MakePattern("p", {0, 1},
-                                             DetectionMode::kSequence),
-                                 kWindow)
+  ASSERT_TRUE(CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp"))(
+                  MakePattern("p", {0, 1}, DetectionMode::kSequence), kWindow)
                   .ok());
   ASSERT_TRUE(engine.Start().ok());
 
@@ -310,13 +302,10 @@ TEST(ExchangeEngineTest, DrainWithInFlightExchangeLanes) {
   }
   const StreamingCepEngine full_reference = MakeReference(stream, kGroups);
 
-  ParallelEngineOptions options = ExchangeConfig(
-      /*stage1=*/2, /*stage2=*/3, CorrelationKeySpec::ByAttribute("grp"));
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/2, /*stage2=*/3);
   ParallelStreamingEngine engine(options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
-      },
+      CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp")),
       kGroups);
   ASSERT_TRUE(engine.Start().ok());
 
@@ -386,8 +375,7 @@ TEST(ExchangeEngineTest, StageOneAndCrossQueriesCoexist) {
   ASSERT_GT(subject_reference.total_detections(), 0u);
   ASSERT_GT(cross_reference.total_detections(), 0u);
 
-  ParallelEngineOptions options = ExchangeConfig(
-      /*stage1=*/4, /*stage2=*/2, CorrelationKeySpec::ByEventType());
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/4, /*stage2=*/2);
   ParallelStreamingEngine engine(options);
   for (size_t k = 0; k < kSubjects; ++k) {
     const auto base = static_cast<EventTypeId>(k * kTypesPerGroup);
@@ -397,7 +385,9 @@ TEST(ExchangeEngineTest, StageOneAndCrossQueriesCoexist) {
                               kWindow)
                     .ok());
   }
-  ASSERT_TRUE(engine.AddCrossQuery(watch, kWindow).ok());
+  ASSERT_TRUE(
+      CrossAdder(engine, CorrelationKeySpec::ByEventType())(watch, kWindow)
+          .ok());
   ASSERT_TRUE(engine.Start().ok());
 
   StreamReplayer replayer;
@@ -421,13 +411,10 @@ TEST(ExchangeEngineTest, DeterministicAcrossRuns) {
 
   std::vector<std::vector<Timestamp>> first;
   for (int run = 0; run < 2; ++run) {
-    ParallelEngineOptions options = ExchangeConfig(
-        /*stage1=*/3, /*stage2=*/2, CorrelationKeySpec::ByAttribute("grp"));
+    ParallelEngineOptions options = ExchangeConfig(/*stage1=*/3, /*stage2=*/2);
     ParallelStreamingEngine engine(options);
     RegisterGroupQueries(
-        [&engine](Pattern p, Timestamp w) {
-          return engine.AddCrossQuery(std::move(p), w);
-        },
+        CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp")),
         kGroups);
     ASSERT_TRUE(engine.Start().ok());
     for (const Event& e : stream) ASSERT_TRUE(engine.OnEvent(e).ok());
@@ -447,13 +434,11 @@ TEST(ExchangeEngineTest, DeterministicAcrossRuns) {
 }
 
 TEST(ExchangeEngineTest, FinishSealsThePipeline) {
-  ParallelEngineOptions options = ExchangeConfig(
-      /*stage1=*/2, /*stage2=*/2, CorrelationKeySpec::ByEventType());
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/2, /*stage2=*/2);
   ParallelStreamingEngine engine(options);
-  ASSERT_TRUE(engine
-                  .AddCrossQuery(MakePattern("watch", {0},
-                                             DetectionMode::kDisjunction),
-                                 kWindow)
+  ASSERT_TRUE(CrossAdder(engine, CorrelationKeySpec::ByEventType())(
+                  MakePattern("watch", {0}, DetectionMode::kDisjunction),
+                  kWindow)
                   .ok());
   ASSERT_TRUE(engine.Start().ok());
   ASSERT_TRUE(engine.OnEvent(Event(0, 1, /*stream=*/4)).ok());
@@ -467,23 +452,31 @@ TEST(ExchangeEngineTest, FinishSealsThePipeline) {
 
 TEST(ExchangeEngineTest, LifecycleErrors) {
   {
-    // Cross queries without the exchange stage are refused.
+    // A cross query without a correlation key is refused, and so is a
+    // cross lookup on an engine that has no lane-group.
     ParallelEngineOptions options;
     options.shard_count = 2;
     ParallelStreamingEngine engine(options);
     EXPECT_FALSE(engine
                      .AddCrossQuery(MakePattern("p", {0},
                                                 DetectionMode::kDisjunction),
-                                    kWindow)
+                                    kWindow, "test", nullptr)
                      .ok());
     EXPECT_FALSE(engine.CrossDetectionsOf(0).ok());
   }
   {
-    // A malformed correlation spec surfaces at Start.
-    ParallelEngineOptions options = ExchangeConfig(
-        /*stage1=*/2, /*stage2=*/2, CorrelationKeySpec::ByAttribute(""));
+    // A malformed correlation spec never yields a key function, and a
+    // cross query after Start is refused.
+    EXPECT_FALSE(
+        MakeCorrelationKeyFn(CorrelationKeySpec::ByAttribute("")).ok());
+    ParallelEngineOptions options = ExchangeConfig(/*stage1=*/2, /*stage2=*/2);
     ParallelStreamingEngine engine(options);
-    EXPECT_FALSE(engine.Start().ok());
+    ASSERT_TRUE(engine.Start().ok());
+    EXPECT_FALSE(CrossAdder(engine, CorrelationKeySpec::Global())(
+                     MakePattern("p", {0}, DetectionMode::kDisjunction),
+                     kWindow)
+                     .ok());
+    ASSERT_TRUE(engine.Stop().ok());
   }
 }
 

@@ -277,17 +277,17 @@ TEST(FlowControlTest, DrainUnderCreditStarvationMatchesSequentialEngine) {
     ParallelEngineOptions options;
     options.shard_count = stage1;
     options.queue_capacity = 128;
-    options.exchange.enabled = true;
     options.exchange.shard_count = stage2;
     options.exchange.lane_capacity = 64;
     // A starvation-sized budget: every producer exhausts its credits
     // constantly, so the whole run exercises the slow path + liveness.
     options.exchange.reorder_capacity = 4;
-    options.exchange.key = CorrelationKeySpec::ByAttribute("grp");
     ParallelStreamingEngine engine(options);
+    const ShardKeyFn key =
+        MakeCorrelationKeyFn(CorrelationKeySpec::ByAttribute("grp")).value();
     RegisterGroupQueries(
-        [&engine](Pattern p, Timestamp w) {
-          return engine.AddCrossQuery(std::move(p), w);
+        [&engine, &key](Pattern p, Timestamp w) {
+          return engine.AddCrossQuery(std::move(p), w, "grp", key);
         },
         kGroups);
     ASSERT_TRUE(engine.Start().ok());
@@ -327,15 +327,15 @@ TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
   ParallelEngineOptions options;
   options.shard_count = 4;
   options.queue_capacity = 128;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 1;
   options.exchange.lane_capacity = 16;
   options.exchange.reorder_capacity = 2;
-  options.exchange.key = CorrelationKeySpec::Global();
   ParallelStreamingEngine engine(options);
+  const ShardKeyFn key =
+      MakeCorrelationKeyFn(CorrelationKeySpec::Global()).value();
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
+      [&engine, &key](Pattern p, Timestamp w) {
+        return engine.AddCrossQuery(std::move(p), w, "global", key);
       },
       1);
   ASSERT_TRUE(engine.Start().ok());
@@ -360,15 +360,16 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
   ParallelEngineOptions options;
   options.shard_count = 1;
   options.queue_capacity = 8;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 1;
   options.exchange.lane_capacity = 8;
   options.exchange.reorder_capacity = 4;
-  options.exchange.key = CorrelationKeySpec::Global();
   ParallelStreamingEngine engine(options);
   ASSERT_TRUE(
-      engine.AddCrossQuery(MakePattern("seq", {0, 1}, DetectionMode::kSequence),
-                           kWindow)
+      engine
+          .AddCrossQuery(
+              MakePattern("seq", {0, 1}, DetectionMode::kSequence), kWindow,
+              "global",
+              MakeCorrelationKeyFn(CorrelationKeySpec::Global()).value())
           .ok());
 
   std::mutex mu;

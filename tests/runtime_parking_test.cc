@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "cep/correlation_key.h"
 #include "obs/metrics.h"
 #include "runtime/backoff.h"
 #include "runtime/parallel_engine.h"
@@ -170,14 +171,17 @@ TEST(ParkingTest, ExchangePipelineBarriersCompleteFromParkedState) {
   ParallelEngineOptions options;
   options.shard_count = 2;
   options.queue_capacity = 256;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 2;
   options.exchange.lane_capacity = 64;
-  options.exchange.key = CorrelationKeySpec::ByEventType();
   ParallelStreamingEngine engine(options);
   auto pattern = Pattern::Create("p", {0, 1}, DetectionMode::kSequence);
   ASSERT_TRUE(pattern.ok());
-  ASSERT_TRUE(engine.AddCrossQuery(std::move(pattern).value(), 10).ok());
+  ASSERT_TRUE(
+      engine
+          .AddCrossQuery(
+              std::move(pattern).value(), 10, "type",
+              MakeCorrelationKeyFn(CorrelationKeySpec::ByEventType()).value())
+          .ok());
   ASSERT_TRUE(engine.Start().ok());
 
   // Let both stages go fully idle (parked), then run the barrier.

@@ -1,13 +1,13 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Pins the Shard exchange-hook registration race: AddExchange (orchestrator,
-// pre-Start) grows the hook vector while stats() / exchange_count() scrapes
-// may run from any thread at any time. The fix routes every hook-list read
-// through `reg_mu_` and hands the worker a one-time snapshot at startup
-// (src/runtime/shard.h, `SnapshotHooks`). Before the fix, a scrape racing a
-// registration read a std::vector mid-growth — undefined behavior that TSan
-// flags reliably; this test is the regression pin (it runs in the TSan CI
-// job like every other test).
+// Pins the Shard exchange-emitter registration race: AddExchange
+// (orchestrator, pre-Start) grows the emitter vector while stats() /
+// exchange_count() scrapes may run from any thread at any time. The fix
+// routes every emitter-list read through `reg_mu_` and hands the worker a
+// one-time snapshot at startup (src/runtime/shard.h, `SnapshotEmitters`).
+// Before the fix, a scrape racing a registration read a std::vector
+// mid-growth — undefined behavior that TSan flags reliably; this test is
+// the regression pin (it runs in the TSan CI job like every other test).
 
 #include <gtest/gtest.h>
 
@@ -23,14 +23,19 @@
 namespace pldp {
 namespace {
 
-constexpr uint64_t kSeed = 0x5eedc0deULL;
+/// Swallows every event: the shard's output is sink-driven, so nothing
+/// is forwarded into the exchange.
+class NoopSink : public ShardEventSink {
+ public:
+  void OnShardEvent(const Event& /*event*/) override {}
+};
 
 TEST(ShardRaceTest, StatsScrapeRacingExchangeRegistration) {
   constexpr size_t kRounds = 32;
   constexpr size_t kHooks = 4;
 
   for (size_t round = 0; round < kRounds; ++round) {
-    Shard shard(0, 64, kSeed + round);
+    Shard shard(0, 64);
     std::vector<std::unique_ptr<ExchangeFabric>> fabrics;
 
     std::atomic<bool> stop{false};
@@ -55,9 +60,7 @@ TEST(ShardRaceTest, StatsScrapeRacingExchangeRegistration) {
       fabrics.push_back(std::make_unique<ExchangeFabric>(1, 1, 64));
       auto emitter = std::make_unique<ExchangeEmitter>(
           fabrics.back()->Row(0), nullptr, fabrics.back().get());
-      ASSERT_TRUE(
-          shard.AddExchange(std::move(emitter), /*forward_raw_events=*/false)
-              .ok());
+      ASSERT_TRUE(shard.AddExchange(std::move(emitter)).ok());
     }
 
     stop.store(true, std::memory_order_release);
@@ -69,16 +72,16 @@ TEST(ShardRaceTest, StatsScrapeRacingExchangeRegistration) {
 }
 
 TEST(ShardRaceTest, WorkerSnapshotSurvivesConcurrentScrapes) {
-  // A running worker iterates its startup snapshot of the hook list while
-  // scrape threads take the registration mutex — the two must not contend
-  // or race. Sink-driven hooks only (nothing drains the lanes here).
-  Shard shard(0, 64, kSeed);
+  // A running worker iterates its startup snapshot of the emitter list
+  // while scrape threads take the registration mutex — the two must not
+  // contend or race. Sink-driven emitters only (nothing drains the lanes
+  // here): the no-op sink keeps raw events off the exchange.
+  Shard shard(0, 64);
+  ASSERT_TRUE(shard.SetEventSink(std::make_unique<NoopSink>()).ok());
   ExchangeFabric fabric(1, 1, 64);
   auto emitter =
       std::make_unique<ExchangeEmitter>(fabric.Row(0), nullptr, &fabric);
-  ASSERT_TRUE(
-      shard.AddExchange(std::move(emitter), /*forward_raw_events=*/false)
-          .ok());
+  ASSERT_TRUE(shard.AddExchange(std::move(emitter)).ok());
   ASSERT_TRUE(shard.Start().ok());
 
   std::atomic<bool> stop{false};
@@ -90,8 +93,8 @@ TEST(ShardRaceTest, WorkerSnapshotSurvivesConcurrentScrapes) {
   });
 
   for (uint64_t i = 0; i < 512; ++i) {
-    ASSERT_TRUE(
-        shard.Push(Event(/*type=*/0, static_cast<Timestamp>(i))).ok());
+    StampedEvent stamped{i, Event(/*type=*/0, static_cast<Timestamp>(i))};
+    ASSERT_TRUE(shard.PushStampedN(&stamped, 1).ok());
   }
   ASSERT_TRUE(shard.Drain().ok());
 
