@@ -727,6 +727,14 @@ ModelResult RunModel(const ModelConfig& config,
   }
   res.executions = execs;
   res.decisions = g.total_decisions;
+  if (!res.failed && !g.replay_mode) {
+    // The execution count pins the explored schedule space: a change that
+    // keeps it keeps the exploration, whatever it does to the wall time.
+    fprintf(stdout, "[model:%s] executions=%llu decisions=%llu%s\n",
+            g.cfg.name, static_cast<unsigned long long>(execs),
+            static_cast<unsigned long long>(g.total_decisions),
+            res.exhausted ? " (exhausted)" : "");
+  }
   ShutdownPool();
   g.active = false;
   return res;

@@ -32,7 +32,7 @@ class PublisherSink final : public ShardEventSink {
 
   void OnShardFinish(uint64_t finish_seq) override {
     // Publisher finalization runs here, on the worker, so the final views
-    // flow through the exchange before the terminal watermark closes the
+    // flow through the exchange before the terminal frontier closes the
     // lanes. Errors latch inside the publisher; Finish() collects them.
     finalizing_ = true;
     finish_seq_ = finish_seq;
@@ -47,13 +47,12 @@ class PublisherSink final : public ShardEventSink {
                    const PublishedView& view) {
     if (emitter_ == nullptr) return;
     if (finalizing_) {
-      // Finalize-time views share one trigger (the finish bound) across
-      // all producers; sub-keys by subject keep the merged order globally
-      // deterministic — ascending subject, matching a sequential
-      // publisher's ordered Finalize — because subjects are disjoint
-      // across shards.
-      emitter_->BeginTrigger(finish_seq_,
-                             static_cast<uint64_t>(subject) << 32);
+      // Finalize-time views are triggered at finish_seq + subject: subjects
+      // are disjoint across shards, so no two producers stamp the same
+      // primary (the frontier's credit-liveness argument needs that), and
+      // the merged order is ascending subject — matching a sequential
+      // publisher's ordered Finalize.
+      emitter_->BeginTrigger(finish_seq_ + subject);
     }
     for (size_t t = 0; t < view.presence.size(); ++t) {
       if (!view.presence[t]) continue;

@@ -31,7 +31,7 @@ struct ShardInstruments {
 /// per (group, producer shard) emitter row.
 struct ExchangeInstruments {
   Counter* forwarded = nullptr;           ///< events pushed into lanes
-  Counter* watermarks = nullptr;          ///< watermark broadcasts
+  Counter* watermarks = nullptr;          ///< frontier advances
   Counter* backpressure_waits = nullptr;  ///< full-lane spins on emit
   Counter* credit_exhausted_waits = nullptr;  ///< flow-control credit stalls
   Gauge* lane_depth = nullptr;            ///< snapshot-time sum of lane sizes

@@ -16,9 +16,14 @@ ExchangeFabric::ExchangeFabric(size_t producers, size_t consumers,
   const size_t credits = reorder_capacity == 0
                              ? kDefaultExchangeReorderCapacity
                              : reorder_capacity;
+  frontiers_.reserve(producers_);
   lanes_.reserve(producers_ * consumers_);
-  for (size_t i = 0; i < producers_ * consumers_; ++i) {
-    lanes_.push_back(std::make_unique<ExchangeLane>(lane_capacity, credits));
+  for (size_t p = 0; p < producers_; ++p) {
+    frontiers_.push_back(std::make_unique<Atomic<uint64_t>>(0));
+    for (size_t c = 0; c < consumers_; ++c) {
+      lanes_.push_back(std::make_unique<ExchangeLane>(lane_capacity, credits,
+                                                      *frontiers_.back()));
+    }
   }
 }
 
@@ -41,41 +46,22 @@ std::vector<ExchangeLane*> ExchangeFabric::Column(size_t consumer) {
 ExchangeEmitter::ExchangeEmitter(std::vector<ExchangeLane*> row,
                                  ShardKeyFn key_fn, ExchangeFabric* fabric)
     : row_(std::move(row)),
+      frontier_(row_.front()->frontier),
       router_(row_.size(), std::move(key_fn)),
       fabric_(fabric) {}
 
-Status ExchangeEmitter::PushToLane(size_t consumer, ExchangeItem item) {
-  Backoff backoff;
-  bool waited = false;
-  while (!row_[consumer]->queue.TryPush(std::move(item))) {
-    if (fabric_->aborted()) {
-      return Status::FailedPrecondition("exchange fabric aborted");
-    }
-    waited = true;
-    backoff.Wait();
-  }
-  if (waited) {
-    // order: relaxed; telemetry only.
-    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.backpressure_waits) obs_.backpressure_waits->Inc();
-  }
-  return Status::OK();
-}
-
-Status ExchangeEmitter::AcquireCreditSlow(ExchangeLane& lane,
-                                          ExchangeKey pending) {
+Status ExchangeEmitter::AcquireCreditSlow(ExchangeLane& lane) {
   // One count per wait episode (mirrors the backpressure-wait accounting).
   // order: relaxed; telemetry only.
   credit_exhausted_waits_.fetch_add(1, std::memory_order_relaxed);
   if (obs_.credit_exhausted_waits) obs_.credit_exhausted_waits->Inc();
-  // Publish the exact frontier before blocking: every future item of this
-  // row has key >= `pending` — including the one we are about to emit,
-  // which carries it. This lets the merge release every buffered item
-  // strictly below the frontier even though this row has gone quiet,
-  // which returns the credits we are waiting for. Without it, two
-  // producers blocked on each other's unreleased items would deadlock the
-  // merge.
-  PLDP_RETURN_IF_ERROR(BroadcastKey(pending));
+  // Publish the frontier before blocking: every future item of this row
+  // has primary >= the current trigger — including the one we are about
+  // to emit. This lets the merge release every buffered item of a lower
+  // primary even though this row has gone quiet, which returns the
+  // credits we are waiting for. Without it, two producers blocked on each
+  // other's unreleased items would deadlock the merge.
+  Broadcast(trigger_);
   Backoff backoff;
   // order: acquire pairs with the consumer's release credit return — the
   // buffer slot it freed must be visible before we fill it again.
@@ -93,67 +79,55 @@ Status ExchangeEmitter::Emit(const Event& event) {
   ExchangeItem item;
   item.key = ExchangeKey{trigger_, sub_next_++};
   item.event = event;
-  const size_t consumer = router_.ShardOf(item.event);
-  ExchangeLane& lane = *row_[consumer];
+  ExchangeLane& lane = *row_[router_.ShardOf(item.event)];
   // One credit per event. Only this thread decrements (single producer
   // per lane), so a non-zero read cannot underflow on the fetch_sub.
   // order: acquire pairs with the consumer's release credit return.
   if (lane.credits.load(std::memory_order_acquire) == 0) {
-    PLDP_RETURN_IF_ERROR(AcquireCreditSlow(lane, item.key));
+    PLDP_RETURN_IF_ERROR(AcquireCreditSlow(lane));
   }
   // order: acq_rel; the RMW joins the release sequence on the counter so
   // the consumer's next return composes with ours, and the acquire half
   // covers a consume that raced past the load above.
   lane.credits.fetch_sub(1, std::memory_order_acq_rel);
-  PLDP_RETURN_IF_ERROR(PushToLane(consumer, std::move(item)));
+  Backoff backoff;
+  bool waited = false;
+  while (!lane.queue.TryPush(std::move(item))) {
+    if (fabric_->aborted()) {
+      return Status::FailedPrecondition("exchange fabric aborted");
+    }
+    waited = true;
+    backoff.Wait();
+  }
+  if (waited) {
+    // order: relaxed; telemetry only.
+    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+    if (obs_.backpressure_waits) obs_.backpressure_waits->Inc();
+  }
   // order: relaxed; telemetry only.
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   if (obs_.forwarded) obs_.forwarded->Inc();
   return Status::OK();
 }
 
-Status ExchangeEmitter::BroadcastKey(ExchangeKey bound) {
-  if (broadcast_any_ && bound <= last_broadcast_) return Status::OK();
-  for (size_t c = 0; c < row_.size(); ++c) {
-    ExchangeItem item;
-    item.key = bound;
-    item.watermark = true;
-    PLDP_RETURN_IF_ERROR(PushToLane(c, std::move(item)));
-  }
-  last_broadcast_ = bound;
-  broadcast_any_ = true;
-  // order: relaxed; telemetry only.
-  watermarks_.fetch_add(1, std::memory_order_relaxed);
+void ExchangeEmitter::Broadcast(uint64_t bound) {
+  driver_role_.Assert();
+  // order: relaxed; this thread is the frontier's only writer, so it always
+  // reads its own last store.
+  if (bound <= frontier_.load(std::memory_order_relaxed)) return;
+  // order: release pairs with the merge's acquire load, which it takes
+  // before draining the lane: every item pushed before this store is
+  // drained ahead of the bound it raises.
+  frontier_.store(bound, std::memory_order_release);
+  for (ExchangeLane* lane : row_) lane->queue.Wake();
   if (obs_.watermarks) obs_.watermarks->Inc();
-  return Status::OK();
-}
-
-Status ExchangeEmitter::Broadcast(uint64_t bound) {
-  driver_role_.Assert();
-  return BroadcastKey(ExchangeKey{bound, 0});
-}
-
-bool ExchangeEmitter::TryBroadcast(uint64_t bound) {
-  driver_role_.Assert();
-  const ExchangeKey key{bound, 0};
-  if (broadcast_any_ && key <= last_broadcast_) return true;
-  // This thread is the only pusher and the consumer only ever frees
-  // slots, so a free slot seen here is still free at the push: the
-  // BroadcastKey below cannot block.
-  for (const ExchangeLane* lane : row_) {
-    if (lane->queue.ApproxSize() >= lane->queue.capacity()) return false;
-  }
-  (void)BroadcastKey(key);
-  return true;
 }
 
 ExchangeEmitterStats ExchangeEmitter::stats() const {
   ExchangeEmitterStats s;
-  // order: relaxed on all four; independent monotonic telemetry counters.
+  // order: relaxed on all three; independent monotonic telemetry counters.
   s.forwarded =
       static_cast<size_t>(forwarded_.load(std::memory_order_relaxed));
-  s.watermarks =
-      static_cast<size_t>(watermarks_.load(std::memory_order_relaxed));
   // order: relaxed; see above.
   s.backpressure_waits = static_cast<size_t>(
       backpressure_waits_.load(std::memory_order_relaxed));

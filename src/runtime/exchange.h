@@ -16,7 +16,8 @@
 //                  │                    lane(p,1) ──► merge shard 1
 //                  │                       ...
 //                  └─ BeginTrigger(seq) stamps every emission with an
-//                     ExchangeKey; Broadcast(bound) sends watermarks.
+//                     ExchangeKey; Broadcast(bound) raises the row's
+//                     frontier word.
 //
 // Ordering is restored downstream by merging on `ExchangeKey`, a global
 // sequence stamp: (primary, sub) where `primary` is the ingest-order
@@ -26,11 +27,14 @@
 // order a sequential engine would have seen — detection equivalence holds
 // bit-for-bit, not just as a multiset.
 //
-// Watermarks solve the empty-lane problem: a merge cannot release an event
-// until every other lane is known to be past its key. A producer therefore
-// broadcasts `watermark(b)` ("every future item on this lane has key >=
-// (b, 0)") when idle and at drain barriers; `kExchangeSeqEnd` is the
-// terminal watermark closing a lane at end of stream.
+// The frontier solves the empty-lane problem: a merge cannot release an
+// event until every other lane is known to be past its key. Each producer
+// row owns one monotone watermark word (MillWheel's low watermark):
+// frontier `b` promises every future item of the row a primary >= b. The
+// row's driver raises it when idle, at drain barriers and when
+// credit-blocked — a release store plus a doorbell ring, no queue slot, no
+// blocking; `kExchangeSeqEnd` closes the row. A merge loads it *before*
+// draining the lane and applies it *after* the drained items.
 //
 // Flow control: each lane carries a credit counter initialized to the
 // consumer's reorder-buffer capacity. An Emit consumes one credit; the
@@ -38,20 +42,21 @@
 // in flight on a lane (queue + reorder buffer) therefore never exceed
 // the credit budget, which caps the reorder buffer — a stalled merge
 // shard backpressures its producers (and transitively the ingest
-// thread) instead of buffering without bound. Watermarks are credit-free:
-// they carry no payload and the merge consumes them immediately, so flow
-// control can never silence the progress protocol. A credit-blocked
-// producer broadcasts its exact frontier before spinning, which lets the
-// merge release everything below it and return credits — the liveness
-// argument is spelled out in docs/ARCHITECTURE.md ("Credit-based flow
-// control").
+// thread) instead of buffering without bound. A credit-blocked producer
+// raises its frontier to the primary it is blocked on before spinning,
+// which lets the merge release everything below it and return credits.
+// Because the word holds only a primary, that needs the producers of one
+// fabric to stamp distinct primaries — see docs/ARCHITECTURE.md
+// ("Credit-based flow control").
 //
 // The credit protocol (consume on Emit, return on release, buffer never
 // exceeding the budget) is machine-checked by
 // tests/check/check_credits_test.cc; its negative twin
 // (PLDP_CHECK_NEGATIVE_CREDITS in merge_shard.cc, which returns the
 // credit at receipt instead of at release) trips the reorder buffer's
-// capacity assert under the model checker.
+// capacity assert under the model checker, and PLDP_CHECK_NEGATIVE_FRONTIER
+// (the merge reads the frontier after draining the lane) trips the
+// `lane.bound <= item.key` order assert.
 
 #ifndef PLDP_RUNTIME_EXCHANGE_H_
 #define PLDP_RUNTIME_EXCHANGE_H_
@@ -70,14 +75,14 @@
 
 namespace pldp {
 
-/// Terminal watermark bound: no item ever carries a primary this large, so
-/// a lane whose bound reached it is closed forever.
+/// Terminal frontier: no item ever carries a primary this large, so a row
+/// whose frontier reached it is closed forever.
 inline constexpr uint64_t kExchangeSeqEnd = ~uint64_t{0};
 
 /// Global merge stamp: lexicographic (primary, sub). `primary` is the
-/// ingest sequence number of the triggering event; `sub` disambiguates
-/// multiple emissions of one trigger (and, at finalize time, one producer
-/// from another — see ExchangeEmitter::BeginTrigger's sub_base overload).
+/// ingest sequence number of the triggering event (finish_seq + subject for
+/// finalize-time emissions); `sub` disambiguates multiple emissions of one
+/// trigger. No two producers of one fabric stamp the same primary.
 struct ExchangeKey {
   uint64_t primary = 0;
   uint64_t sub = 0;
@@ -91,11 +96,9 @@ struct ExchangeKey {
   }
 };
 
-/// One slot of an exchange lane: a keyed event, or a watermark whose key
-/// lower-bounds every later item on the lane.
+/// One slot of an exchange lane: a keyed event.
 struct ExchangeItem {
   ExchangeKey key;
-  bool watermark = false;
   Event event;
 };
 
@@ -103,20 +106,27 @@ struct ExchangeItem {
 /// capacity) when the caller does not size it explicitly.
 inline constexpr size_t kDefaultExchangeReorderCapacity = 1024;
 
-/// One SPSC lane of the matrix, plus its flow-control credit counter.
+/// One SPSC lane of the matrix, plus its flow-control credit counter and
+/// its producer row's frontier.
 struct ExchangeLane {
-  ExchangeLane(size_t capacity, size_t credit_budget)
+  ExchangeLane(size_t capacity, size_t credit_budget,
+               Atomic<uint64_t>& row_frontier)
       : queue(capacity),
         initial_credits(credit_budget),
-        credits(credit_budget) {}
+        credits(credit_budget),
+        frontier(row_frontier) {}
   SpscQueue<ExchangeItem> queue;
   /// The lane's credit budget — also the hard capacity of the consumer's
   /// per-lane reorder buffer (see MergeShard). Fixed at construction.
   const size_t initial_credits;
   /// Remaining credits. Decremented by the producer (one per Emit),
   /// incremented by the consumer (one per event released to its engine).
-  /// Watermarks bypass it entirely.
   Atomic<uint64_t> credits;
+  /// The producer row's frontier, shared by every lane of the row: every
+  /// future item on this lane has primary >= it. Written only by the row's
+  /// driver (release, monotone); the consumer acquire-loads it before
+  /// draining the queue.
+  Atomic<uint64_t>& frontier;
 };
 
 /// The N1×N2 lane matrix. Constructed before the shards on either side and
@@ -158,6 +168,8 @@ class ExchangeFabric {
  private:
   size_t producers_;
   size_t consumers_;
+  /// One frontier word per producer row (see ExchangeLane::frontier).
+  std::vector<std::unique_ptr<Atomic<uint64_t>>> frontiers_;
   std::vector<std::unique_ptr<ExchangeLane>> lanes_;
   Atomic<bool> abort_{false};
 };
@@ -166,8 +178,6 @@ class ExchangeFabric {
 struct ExchangeEmitterStats {
   /// Events emitted into the fabric.
   size_t forwarded = 0;
-  /// Watermark broadcasts (each reaches every lane of the row).
-  size_t watermarks = 0;
   /// Times a full lane made the producer wait.
   size_t backpressure_waits = 0;
   /// Times an exhausted credit budget made the producer wait for the
@@ -192,13 +202,14 @@ class ExchangeEmitter {
   size_t consumer_count() const { return row_.size(); }
 
   /// Opens the emission scope of one trigger: subsequent Emit calls stamp
-  /// (primary, sub_base + n) for n = 0, 1, ... Keys must be opened in
-  /// strictly increasing order per emitter; the worker opens one scope per
-  /// processed event (primary = the event's ingest sequence number).
-  PLDP_HOT void BeginTrigger(uint64_t primary, uint64_t sub_base = 0) {
+  /// (primary, n) for n = 0, 1, ... Primaries must be opened in strictly
+  /// increasing order per emitter and never repeat across the producers of
+  /// one fabric; the worker opens one scope per processed event (primary =
+  /// the event's ingest sequence number).
+  PLDP_HOT void BeginTrigger(uint64_t primary) {
     driver_role_.Assert();
     trigger_ = primary;
-    sub_next_ = sub_base;
+    sub_next_ = 0;
   }
 
   /// Routes `event` to its consumer lane, blocking (with backoff) while
@@ -207,17 +218,10 @@ class ExchangeEmitter {
   /// the fabric was aborted.
   PLDP_HOT Status Emit(const Event& event);
 
-  /// Sends `watermark(bound)` — every future item on this row has key >=
-  /// (bound, 0) — to all lanes. Monotone: bounds at or below the last
-  /// broadcast are skipped. Watermarks consume no credits; blocking/abort
-  /// behavior on a full queue is the same as Emit's.
-  Status Broadcast(uint64_t bound);
-
-  /// Non-blocking Broadcast for the worker's idle path: sends
-  /// `watermark(bound)` only when every lane of the row has a free slot.
-  /// Returns false — nothing sent, dedup state unchanged — when some lane
-  /// is full; true when the bound was sent or is already covered.
-  bool TryBroadcast(uint64_t bound);
+  /// Raises the row's frontier to `bound` — every future item on this row
+  /// has primary >= bound — and rings every consumer's doorbell. Monotone:
+  /// a bound at or below the current frontier is a no-op. Never blocks.
+  void Broadcast(uint64_t bound);
 
   ExchangeEmitterStats stats() const;
 
@@ -236,24 +240,17 @@ class ExchangeEmitter {
   }
 
  private:
-  PLDP_HOT Status PushToLane(size_t consumer, ExchangeItem item)
-      PLDP_REQUIRES(driver_role_);
-
-  /// Full-key watermark: every future item on this row has key >= `bound`.
-  /// Broadcast(b) is BroadcastKey({b, 0}); the credit slow path uses the
-  /// key of the item the producer is blocked on, so consumers can release
-  /// everything strictly below it.
-  Status BroadcastKey(ExchangeKey bound) PLDP_REQUIRES(driver_role_);
-
-  /// Credit-exhaustion wait: counts the episode, publishes `pending` — the
-  /// key of the item still waiting to be pushed — as the row's watermark
-  /// (without it a cycle of credit-blocked producers could deadlock the
-  /// merge), then spins until the consumer returns a credit or the fabric
-  /// aborts.
-  Status AcquireCreditSlow(ExchangeLane& lane, ExchangeKey pending)
-      PLDP_REQUIRES(driver_role_);
+  /// Credit-exhaustion wait: counts the episode, raises the row's frontier
+  /// to the current trigger — the primary of the item still waiting to be
+  /// pushed (without it a cycle of credit-blocked producers could deadlock
+  /// the merge) — then spins until the consumer returns a credit or the
+  /// fabric aborts.
+  Status AcquireCreditSlow(ExchangeLane& lane) PLDP_REQUIRES(driver_role_);
 
   std::vector<ExchangeLane*> row_;
+  /// The row's frontier word (owned by the fabric; this emitter is its
+  /// only writer).
+  Atomic<uint64_t>& frontier_;
   EventRouter router_;
   ExchangeFabric* fabric_;
 
@@ -267,12 +264,9 @@ class ExchangeEmitter {
   // Worker-local emission state.
   uint64_t trigger_ PLDP_GUARDED_BY(driver_role_) = 0;
   uint64_t sub_next_ PLDP_GUARDED_BY(driver_role_) = 0;
-  ExchangeKey last_broadcast_ PLDP_GUARDED_BY(driver_role_) = {0, 0};
-  bool broadcast_any_ PLDP_GUARDED_BY(driver_role_) = false;
 
   // Stats written by the worker (relaxed), read from any thread.
   Atomic<uint64_t> forwarded_{0};
-  Atomic<uint64_t> watermarks_{0};
   Atomic<uint64_t> backpressure_waits_{0};
   Atomic<uint64_t> credit_exhausted_waits_{0};
 

@@ -41,7 +41,7 @@ MergeShard::MergeShard(size_t index, std::vector<ExchangeLane*> inputs)
     // the ring through log2(credits) reallocations under load.
     lanes_.back().buffer.reserve(lane->initial_credits);
     // This shard's worker is the lane queue's sole consumer: route the
-    // lane's push doorbell (events and watermarks alike) to it.
+    // lane's doorbell (pushes and frontier advances alike) to it.
     lane->queue.SetWaker(&doorbell_);
   }
   engine_.SetCallback([this](const StreamingDetection& d) {
@@ -162,36 +162,48 @@ bool MergeShard::ReceiveAvailable() {
   size_t received = 0;
   ExchangeItem burst[kReceiveBatch];
   for (LaneState& lane : lanes_) {
+    // Read the frontier BEFORE draining: the producer pushed every item
+    // below it before its release store, so this acquire makes all of them
+    // visible to the drain below, and the bound is applied only after them.
+    // order: acquire pairs with ExchangeEmitter::Broadcast's release store.
+    uint64_t frontier = lane.lane->frontier.load(std::memory_order_acquire);
     for (;;) {
       const size_t n = lane.lane->queue.TryPopN(burst, kReceiveBatch);
       if (n == 0) break;
       any = true;
       for (size_t i = 0; i < n; ++i) {
         ExchangeItem& item = burst[i];
-        if (item.watermark) {
-          // Watermarks only advance the lane's future lower bound.
-          if (lane.bound < item.key) lane.bound = item.key;
-        } else {
-          // A watermark promised every later item a key at or above it.
-          PLDP_PROTOCOL_ASSERT(lane.bound <= item.key);
-          // Events bound the future strictly: later keys exceed this one.
-          lane.bound = ExchangeKey{item.key.primary, item.key.sub + 1};
+        // The applied frontier promised every later item a key at or
+        // above it.
+        PLDP_PROTOCOL_ASSERT(lane.bound <= item.key);
+        // Events bound the future strictly: later keys exceed this one.
+        lane.bound = ExchangeKey{item.key.primary, item.key.sub + 1};
 #ifdef PLDP_CHECK_NEGATIVE_CREDITS
-          // Seeded mutation for the model checker's negative suite:
-          // returning the credit at *receipt* instead of at release lets
-          // the producer put a full budget back in flight while this
-          // buffer still holds the previous budget — push_back trips the
-          // ring's PLDP_PROTOCOL_ASSERT capacity cap.
-          // atomics-allow: seeded negative-build mutation, not a shipped
-          // ordering decision.
-          lane.lane->credits.fetch_add(1, std::memory_order_release);
+        // Seeded mutation for the model checker's negative suite:
+        // returning the credit at *receipt* instead of at release lets
+        // the producer put a full budget back in flight while this
+        // buffer still holds the previous budget — push_back trips the
+        // ring's PLDP_PROTOCOL_ASSERT capacity cap.
+        // atomics-allow: seeded negative-build mutation, not a shipped
+        // ordering decision.
+        lane.lane->credits.fetch_add(1, std::memory_order_release);
 #endif
-          lane.buffer.push_back(std::move(item));
-          ++received;
-        }
+        lane.buffer.push_back(std::move(item));
+        ++received;
       }
       if (n < kReceiveBatch) break;
     }
+#ifdef PLDP_CHECK_NEGATIVE_FRONTIER
+    // Seeded mutation for the model checker's negative suite: re-reading
+    // the frontier *after* the drain can observe a store whose earlier
+    // items the drain missed — the next pass receives an item below the
+    // applied bound and trips the PLDP_PROTOCOL_ASSERT above.
+    // atomics-allow: seeded negative-build mutation, not a shipped
+    // ordering decision.
+    frontier = lane.lane->frontier.load(std::memory_order_acquire);
+#endif
+    const ExchangeKey floor{frontier, 0};
+    if (lane.bound < floor) lane.bound = floor;
   }
   if (received > 0) {
     // order: relaxed; gauge only, scrape threads don't read the buffers.
@@ -274,13 +286,21 @@ void MergeShard::PublishSafeBound() {
 
 void MergeShard::RunLoop() {
   Backoff backoff;
-  // Plain queue-pointer snapshot for the park predicate: the lane set is
-  // frozen at construction, but `lanes_` itself is worker-role-guarded and
-  // the predicate lambda is analyzed as an unannotated function — so it
-  // captures only this unguarded local.
-  std::vector<SpscQueue<ExchangeItem>*> lane_queues;
-  lane_queues.reserve(lanes_.size());
-  for (LaneState& lane : lanes_) lane_queues.push_back(&lane.lane->queue);
+  // Plain snapshot for the park predicate: the lane set is frozen at
+  // construction, but `lanes_` itself is worker-role-guarded and the
+  // predicate lambda is analyzed as an unannotated function — so it
+  // captures only this unguarded local. `applied` is refreshed before each
+  // park with the frontier primary the lane's bound already covers.
+  struct Watch {
+    SpscQueue<ExchangeItem>* queue;
+    const Atomic<uint64_t>* frontier;
+    uint64_t applied;
+  };
+  std::vector<Watch> watch;
+  watch.reserve(lanes_.size());
+  for (LaneState& lane : lanes_) {
+    watch.push_back({&lane.lane->queue, &lane.lane->frontier, 0});
+  }
   for (;;) {
     const bool received = ReceiveAvailable();
     const bool merged = MergePass(/*force=*/false);
@@ -292,14 +312,22 @@ void MergeShard::RunLoop() {
     // order: acquire pairs with Stop()'s release store.
     if (stop_requested_.load(std::memory_order_acquire)) return;
     if (backoff.ShouldPark()) {
-      // Every wake source rings this doorbell: lane pushes (events and
-      // watermarks, via SetWaker) and Stop(). Merge progress is entirely
-      // driven by lane input, so an all-empty column with no stop is
+      // Every wake source rings this doorbell: lane pushes (via
+      // SetWaker), frontier advances (ExchangeEmitter::Broadcast) and
+      // Stop(). Merge progress is entirely driven by lane input, so an
+      // all-empty column whose frontiers are all applied, with no stop, is
       // genuinely idle. See runtime/backoff.h for the lost-wakeup
       // argument.
-      (void)doorbell_.ParkUnless([this, &lane_queues] {
-        for (SpscQueue<ExchangeItem>* queue : lane_queues) {
-          if (!queue->ApproxEmpty()) return true;
+      for (size_t i = 0; i < watch.size(); ++i) {
+        watch[i].applied = lanes_[i].bound.primary;
+      }
+      (void)doorbell_.ParkUnless([this, &watch] {
+        for (const Watch& w : watch) {
+          if (!w.queue->ApproxEmpty()) return true;
+          // order: acquire pairs with Broadcast's release store.
+          if (w.frontier->load(std::memory_order_acquire) > w.applied) {
+            return true;
+          }
         }
         // order: acquire (same pairing as the loop check above).
         return stop_requested_.load(std::memory_order_acquire);

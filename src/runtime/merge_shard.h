@@ -5,14 +5,15 @@
 // A merge shard owns a worker thread, one exchange lane per stage-1
 // producer (the consumer column of the fabric), and a private
 // `StreamingCepEngine` holding the cross-subject queries. The worker
-// restores global order with a watermark-gated k-way merge:
+// restores global order with a frontier-gated k-way merge:
 //
 //   - every lane delivers strictly increasing `ExchangeKey`s; received
-//     events are staged in a per-lane reorder buffer, received watermarks
-//     only advance the lane's lower bound;
+//     events are staged in a per-lane reorder buffer, and the producer
+//     row's frontier word only advances the lane's lower bound (loaded
+//     before the lane is drained, applied after the drained items);
 //   - the smallest buffered key is released to the engine exactly when
 //     every other lane is known to be past it (a buffered head or a
-//     watermark bound proves it) — so the engine sees the events of this
+//     frontier bound proves it) — so the engine sees the events of this
 //     correlation partition in precisely the order a sequential engine
 //     processing the whole stream would have seen them;
 //   - after each pass the worker publishes `safe_primary`, the sequence
@@ -25,7 +26,7 @@
 // shard returns it when the event is released to the engine — so a lane's
 // in-flight events (queue + buffer) never exceed the budget, whatever the
 // producers do. In steady state the buffers hold at most a few lane
-// bursts, because every producer keeps watermarking its lanes when idle —
+// bursts, because every producer keeps raising its frontier when idle —
 // even one that receives no traffic at all (the router periodically
 // publishes a producer floor for exactly that case). When this shard
 // stalls, the exhausted credits backpressure the producers (and
@@ -99,8 +100,8 @@ class MergeShard {
 
   /// Blocks until everything with sequence number < `bound` has been merged
   /// and processed (i.e. safe_primary() >= bound). The caller must have
-  /// arranged for every producer to pass `bound` (drain + watermark
-  /// broadcast), or this spins until they do.
+  /// arranged for every producer to pass `bound` (drain + frontier
+  /// flush), or this spins until they do.
   Status WaitSafe(uint64_t bound);
 
   /// The published merge frontier (acquire; see file comment).
@@ -176,7 +177,7 @@ class MergeShard {
     /// sticks after the first bursts (see runtime/ring_buffer.h).
     RingBuffer<ExchangeItem> buffer;
     /// Lower bound on every future key of this lane (from the last
-    /// received item or watermark).
+    /// received item or the applied frontier).
     ExchangeKey bound{0, 0};
   };
 
@@ -201,8 +202,8 @@ class MergeShard {
   ThreadRole worker_role_;
   std::vector<LaneState> lanes_ PLDP_GUARDED_BY(worker_role_);
   /// Wake-on-work doorbell the idle worker parks on; every input lane's
-  /// queue rings it on push (events and watermarks alike), Stop() rings
-  /// it directly.
+  /// queue rings it on push and on a frontier advance, Stop() rings it
+  /// directly.
   Doorbell doorbell_;
   /// Worker thread CPU affinity (-1 = unpinned).
   int affinity_core_ = -1;

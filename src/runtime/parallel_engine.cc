@@ -202,7 +202,7 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
            {"producer", producer_label}});
       ins.watermarks = registry->AddCounter(
           "pldp_exchange_watermarks_total",
-          "Watermark broadcasts on a producer's exchange row",
+          "Frontier advances on a producer's exchange row",
           {{"lane", lane}, {"group", group_label},
            {"producer", producer_label}});
       ins.backpressure_waits = registry->AddCounter(
@@ -481,9 +481,9 @@ Status ParallelStreamingEngine::Drain() {
     if (!s.ok()) return s;
   }
   if (!groups_.empty()) {
-    // Two-phase barrier: every producer flushes a watermark asserting it
+    // Two-phase barrier: every producer raises its frontier, asserting it
     // forwarded everything below `bound` it will ever see (one command
-    // broadcasts on every lane-group's row), then every merge shard of
+    // raises every lane-group's row), then every merge shard of
     // every group is waited past that bound. Inherits Drain's best-effort
     // semantics when a producer keeps pushing concurrently.
     for (auto& shard : shards_) {
@@ -528,7 +528,8 @@ Status ParallelStreamingEngine::FinishInternal() {
   // Post the finish command to EVERY shard before waiting on ANY ack.
   // Finalize-time emissions run against bounded credit budgets: shard A's
   // sink output may only become releasable — and its credits returnable —
-  // once shard B's terminal watermark is in flight. Waiting for A's ack
+  // once shard B has run its own finish and raised its frontier past A's
+  // finalize primaries. Waiting for A's ack
   // before posting to B would deadlock under small reorder capacities.
   std::vector<uint64_t> tokens;
   tokens.reserve(shards_.size());
@@ -611,7 +612,7 @@ Status ParallelStreamingEngine::OnEvent(const Event& event) {
     events_ingested_.fetch_add(1, std::memory_order_relaxed);
   }
   // Periodically tell every shard how far the stream has advanced, so
-  // shards starved by routing skew keep watermarking their lanes (see
+  // shards starved by routing skew keep raising their frontiers (see
   // Shard::NoteProducerFloor).
   if ((seq & (kProducerFloorPeriod - 1)) == kProducerFloorPeriod - 1) {
     PublishProducerFloor(seq + 1);

@@ -38,14 +38,14 @@
 //                 per-shard StreamingCepEngine (+ optional sink)
 //                          │ ExchangeEmitter: re-key by correlation key
 //                          ▼
-//              N1×N2 exchange lanes (SPSC each, watermarked)
+//              N1×N2 exchange lanes (SPSC each, frontier per row)
 //                          │
 //                          ▼ k-way merge by ingest seq
 //                    MergeShard 0..N2-1                    stage 2
 //              cross-subject StreamingCepEngine each
 //            │
 //            ▼
-//     Drain barrier (two-phase: stage-1 drain + watermark flush,
+//     Drain barrier (two-phase: stage-1 drain + frontier flush,
 //     then stage-2 safe-bound wait) → merged detections / stats
 //
 // Semantics: stage-1 detection is *partition-local by subject* — exact
@@ -197,7 +197,7 @@ class ParallelStreamingEngine : public StreamSubscriber {
 
   /// Terminal end-of-stream: drains, runs every sink's OnShardFinish on
   /// its worker (emitting finalize-time output through the exchange), and
-  /// seals the exchange with terminal watermarks. Further ingestion is
+  /// seals the exchange with the terminal frontier. Further ingestion is
   /// refused; workers stay alive for result reads. One-shot: the first
   /// call's outcome (success or error) latches and later calls re-return
   /// it.

@@ -218,7 +218,7 @@ StatusOr<uint64_t> Shard::PostCommand(uint32_t kind, uint64_t payload) {
 Status Shard::WaitCommandAck(uint64_t token) {
   Backoff backoff;
   // order: acquire pairs with the worker's release ack — command side
-  // effects (watermarks, finish emissions) are visible once acked.
+  // effects (frontier stores, finish emissions) are visible once acked.
   while (cmd_ack_.load(std::memory_order_acquire) < token) {
     // order: relaxed; fail-fast hint only.
     if (stop_requested_.load(std::memory_order_relaxed)) {
@@ -302,18 +302,16 @@ void Shard::ExecuteCommand(const std::vector<ExchangeEmitter*>& emitters) {
   const uint64_t payload = cmd_payload_.load(std::memory_order_relaxed);
   switch (kind) {
     case kCmdFlushWatermark:
-      // The emitters skip bounds they already passed, so a stale request
-      // (issued before newer idle watermarks) is free.
-      for (ExchangeEmitter* emitter : emitters) {
-        (void)emitter->Broadcast(payload);
-      }
+      // Frontiers only rise, so a stale request (issued before newer idle
+      // frontiers) is free.
+      for (ExchangeEmitter* emitter : emitters) emitter->Broadcast(payload);
       break;
     case kCmdFinish:
-      // End-of-stream: finalize-time sink output first (stamped with the
-      // finish bound), then close every lane of every row for good.
+      // End-of-stream: finalize-time sink output first (stamped at or above
+      // the finish bound), then close every row for good.
       if (sink_ != nullptr) sink_->OnShardFinish(payload);
       for (ExchangeEmitter* emitter : emitters) {
-        (void)emitter->Broadcast(kExchangeSeqEnd);
+        emitter->Broadcast(kExchangeSeqEnd);
       }
       break;
     default:
@@ -343,8 +341,7 @@ void Shard::ProcessOne(const StampedEvent& stamped,
       (void)emitter->Emit(stamped.event);
     }
   }
-  last_seq_ = stamped.seq;
-  processed_any_ = true;
+  idle_bound_ = stamped.seq + 1;
 }
 
 void Shard::RunLoop() {
@@ -354,7 +351,7 @@ void Shard::RunLoop() {
   // shard runs, so the list is frozen and the per-event path stays off
   // the registration mutex.
   const std::vector<ExchangeEmitter*> emitters = SnapshotEmitters();
-  // Sequence bound of the last idle watermark this loop broadcast — the
+  // Sequence bound of the last idle frontier this loop published — the
   // park predicate watches the producer floor against it.
   uint64_t last_idle_bound = 0;
   for (;;) {
@@ -391,14 +388,11 @@ void Shard::RunLoop() {
     // Idle: let downstream merges progress past everything we processed —
     // or, when the producer vouches that every event below its floor has
     // been pushed somewhere and our queue is empty, past the global floor
-    // (a shard starved by routing skew must not silence its lanes).
-    // TryBroadcast dedups repeat bounds, so the steady idle loop stays free.
-    // The broadcast is skipped while a lane is full (a blocking push here
-    // would wedge the worker, and Drain with it, until a consumer pops);
-    // the skipped bound stays pending and is retried on the next turn.
-    bool idle_pending = false;
+    // (a shard starved by routing skew must not silence its lanes). A
+    // bound the frontier already covers is a no-op, so the steady idle
+    // loop stays free.
     if (!emitters.empty()) {
-      uint64_t bound = processed_any_ ? last_seq_ + 1 : 0;
+      uint64_t bound = idle_bound_;
       // order: acquire pairs with NoteProducerFloor's release (the empty
       // check below relies on the covered pushes being visible).
       const uint64_t floor =
@@ -407,22 +401,18 @@ void Shard::RunLoop() {
       // queue observed after the acquire means we processed all of ours.
       if (floor > bound && queue_.ApproxEmpty()) bound = floor;
       if (bound > 0) {
-        for (ExchangeEmitter* emitter : emitters) {
-          if (!emitter->TryBroadcast(bound)) idle_pending = true;
-        }
+        for (ExchangeEmitter* emitter : emitters) emitter->Broadcast(bound);
         last_idle_bound = bound;
       }
     }
-    // Never park on a pending watermark: a consumer draining the full lane
-    // does not ring this worker's doorbell, so keep polling instead.
-    if (!idle_pending && backoff.ShouldPark()) {
+    if (backoff.ShouldPark()) {
       // Park until work arrives. The predicate reads only atomics (queue
       // indices, command generation, stop flag, producer floor) — never
       // worker-guarded state — and covers every wake source: a push rings
       // via the queue's waker, PostCommand / Stop / NoteProducerFloor
       // ring directly. See runtime/backoff.h for the lost-wakeup
-      // argument; `watch_floor` wakes the loop when there is new idle-
-      // watermark progress to broadcast.
+      // argument; `watch_floor` wakes the loop when there is new idle
+      // frontier progress to publish.
       const bool watch_floor = !emitters.empty();
       const uint64_t idle_bound = last_idle_bound;
       (void)doorbell_.ParkUnless([this, watch_floor, idle_bound] {

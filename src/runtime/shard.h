@@ -184,8 +184,8 @@ class Shard {
 
   /// Producer-side progress hint: every event with seq < `floor` has been
   /// pushed to its target shard already (this one or another). Lets a
-  /// shard that receives little or no traffic broadcast idle watermarks
-  /// that track the global stream instead of staying silent until the
+  /// shard that receives little or no traffic raise idle frontiers that
+  /// track the global stream instead of staying silent until the
   /// next drain barrier — without it, skewed routings buffer everything
   /// downstream. Same caller as PushStampedN (the single ingest thread).
   void NoteProducerFloor(uint64_t floor) {
@@ -199,19 +199,19 @@ class Shard {
   /// stays alive; more events may be pushed after.
   Status Drain();
 
-  /// Asks the worker to broadcast `watermark(bound)` on its exchange row
-  /// and blocks until it did. Call after Drain so the bound's claim —
+  /// Asks the worker to raise its exchange rows' frontiers to `bound` and
+  /// blocks until it did. Call after Drain so the bound's claim —
   /// "this shard forwarded everything below `bound` it will ever see" —
   /// holds. No-op without an emitter (still acknowledged).
   Status RequestFlushWatermark(uint64_t bound);
 
   /// Posts end-of-stream to the worker without waiting and returns the
   /// acknowledgement token for WaitCommandAck: the sink's OnShardFinish
-  /// runs (emitting any finalize-time output), then the exchange row is
-  /// closed with terminal watermarks. Call after Drain, with ingestion
+  /// runs (emitting any finalize-time output), then the exchange rows are
+  /// closed with the terminal frontier. Call after Drain, with ingestion
   /// stopped. Under bounded exchange credits one shard's finalize
-  /// emissions may only be releasable once every other shard's terminal
-  /// watermark is in flight — so the orchestrator must post finish to ALL
+  /// emissions may only be releasable once every other shard has begun
+  /// its own finalize — so the orchestrator must post finish to ALL
   /// shards before waiting on ANY (see ParallelStreamingEngine::Finish).
   StatusOr<uint64_t> PostFinish(uint64_t finish_seq);
 
@@ -334,10 +334,9 @@ class Shard {
   Atomic<uint64_t> detections_{0};
   Atomic<bool> stop_requested_{false};
 
-  // Worker-local: sequence of the last processed event, for idle-time
-  // progress watermarks.
-  uint64_t last_seq_ PLDP_GUARDED_BY(worker_role_) = 0;
-  bool processed_any_ PLDP_GUARDED_BY(worker_role_) = false;
+  // Worker-local: one past the last processed sequence number (0 before
+  // the first event) — the idle-time frontier.
+  uint64_t idle_bound_ PLDP_GUARDED_BY(worker_role_) = 0;
 };
 
 }  // namespace pldp

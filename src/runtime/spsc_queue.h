@@ -190,6 +190,13 @@ class SpscQueue {
   /// before the producer starts pushing; the queue does not own the bell.
   void SetWaker(Doorbell* waker) { waker_ = waker; }
 
+  /// Producer side: rings the waker without pushing, for progress the
+  /// producer published beside the queue with its own release store (an
+  /// exchange frontier). No-op without a waker.
+  void Wake() {
+    if (waker_ != nullptr) waker_->Ring();
+  }
+
  private:
   static constexpr size_t kCacheLine = 64;
 

@@ -148,38 +148,47 @@ TEST(ParallelPrivateCrossTest, FixedSeedEquivalenceAtEveryShardCount) {
   ASSERT_GT(reference_total, 0u)
       << "degenerate test: the reference detected nothing";
 
-  for (size_t shards : {1u, 2u, 4u}) {
-    ParallelPrivateOptions options;
-    options.shard_count = shards;
-    options.window_size = kWindowSize;
-    options.seed = kSeed;
-    // Global correlation key: all protected views meet on one merge shard,
-    // the always-sound default for multi-type cross patterns.
-    options.exchange.shard_count = shards;
-    ParallelPrivateEngine parallel(options);
-    RegisterSetup(parallel);
-    for (auto& [pattern, window] : CrossQueries()) {
+  // Reorder capacity 0 is the default budget; 1 starves every lane of
+  // credits, so finalize-time views (primary finish_seq + subject) cross
+  // the exchange one at a time on the credit slow path.
+  for (size_t reorder_capacity : {0u, 1u}) {
+    for (size_t shards : {1u, 2u, 4u}) {
+      ParallelPrivateOptions options;
+      options.shard_count = shards;
+      options.window_size = kWindowSize;
+      options.seed = kSeed;
+      // Global correlation key: all protected views meet on one merge
+      // shard, the always-sound default for multi-type cross patterns.
+      options.exchange.shard_count = shards;
+      options.exchange.reorder_capacity = reorder_capacity;
+      ParallelPrivateEngine parallel(options);
+      RegisterSetup(parallel);
+      for (auto& [pattern, window] : CrossQueries()) {
+        ASSERT_TRUE(parallel
+                        .RegisterCrossTargetQuery(pattern.name(), pattern,
+                                                  window)
+                        .ok());
+      }
       ASSERT_TRUE(
-          parallel.RegisterCrossTargetQuery(pattern.name(), pattern, window)
-              .ok());
-    }
-    ASSERT_TRUE(
-        parallel.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
+          parallel.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
 
-    StreamReplayer replayer;
-    replayer.Subscribe(&parallel);
-    // Run's OnEnd finishes the service phase: worker-side Finalize forwards
-    // the last views through the exchange before the terminal watermark.
-    ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+      StreamReplayer replayer;
+      replayer.Subscribe(&parallel);
+      // Run's OnEnd finishes the service phase: worker-side Finalize
+      // forwards the last views through the exchange before the terminal
+      // frontier.
+      ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
 
-    ASSERT_EQ(parallel.cross_query_count(), reference.size());
-    for (size_t q = 0; q < reference.size(); ++q) {
-      EXPECT_EQ(parallel.CrossDetectionsOf(q).value(), reference[q])
-          << "shards=" << shards << " cross query=" << q;
+      ASSERT_EQ(parallel.cross_query_count(), reference.size());
+      for (size_t q = 0; q < reference.size(); ++q) {
+        EXPECT_EQ(parallel.CrossDetectionsOf(q).value(), reference[q])
+            << "shards=" << shards << " reorder_capacity=" << reorder_capacity
+            << " cross query=" << q;
+      }
+      EXPECT_EQ(parallel.total_cross_detections(), reference_total)
+          << "shards=" << shards << " reorder_capacity=" << reorder_capacity;
+      ASSERT_TRUE(parallel.Stop().ok());
     }
-    EXPECT_EQ(parallel.total_cross_detections(), reference_total)
-        << "shards=" << shards;
-    ASSERT_TRUE(parallel.Stop().ok());
   }
 }
 

@@ -324,8 +324,8 @@ class NoopSink : public ShardEventSink {
 };
 
 /// Runs `n` events through a shard wired to one exchange lane, with or
-/// without a sink, and returns how many raw events reached the lane
-/// (watermarks aside). `stats` receives the shard's counters.
+/// without a sink, and returns how many raw events reached the lane (every
+/// lane item is an event). `stats` receives the shard's counters.
 size_t RawEventsOnLane(bool with_sink, size_t n, ShardStats* stats) {
   ExchangeFabric fabric(1, 1, /*lane_capacity=*/1024);
   Shard shard(/*index=*/0, /*queue_capacity=*/64);
@@ -348,9 +348,7 @@ size_t RawEventsOnLane(bool with_sink, size_t n, ShardStats* stats) {
   // The worker is joined: this thread is now the lane's only consumer.
   size_t raw = 0;
   ExchangeItem item;
-  while (fabric.lane(0, 0).queue.TryPop(item)) {
-    if (!item.watermark) ++raw;
-  }
+  while (fabric.lane(0, 0).queue.TryPop(item)) ++raw;
   return raw;
 }
 

@@ -85,7 +85,7 @@ TEST(FlowControlTest, CreditBudgetExactlyCoversTheReorderCapacity) {
 
   // The consumer releases everything and hands every credit back.
   ASSERT_TRUE(merge.Start().ok());
-  ASSERT_TRUE(emitter.Broadcast(kExchangeSeqEnd).ok());
+  emitter.Broadcast(kExchangeSeqEnd);
   ASSERT_TRUE(merge.WaitSafe(kExchangeSeqEnd).ok());
   EXPECT_EQ(merge.stats().events_processed, 4u);
   EXPECT_EQ(fabric.lane(0, 0).credits.load(),
@@ -119,9 +119,9 @@ TEST(FlowControlTest, AbsentConsumerBackpressuresTheProducerBoundedly) {
       [&] { return emitter.stats().credit_exhausted_waits >= 1; }))
       << "producer never hit the credit wall";
   EXPECT_EQ(emitted.load(), 4u);
-  // In flight: the 4 budgeted events plus the frontier watermark the
-  // blocked producer broadcast before spinning (credit-free by design).
-  EXPECT_LE(fabric.lane(0, 0).queue.ApproxSize(), 5u);
+  // In flight: exactly the 4 budgeted events — the frontier the blocked
+  // producer raised before spinning takes no lane slot.
+  EXPECT_LE(fabric.lane(0, 0).queue.ApproxSize(), 4u);
   EXPECT_EQ(fabric.lane(0, 0).credits.load(), 0u);
 
   if (bench::kAllocHookActive) {
@@ -186,9 +186,9 @@ TEST(FlowControlTest, SilentLaneHoldsReleasesAndSaturationReadsDegraded) {
   EXPECT_NE(obs::RenderHealthJson(health).find("\"reorder_capacity\":8"),
             std::string::npos);
 
-  // B's terminal watermark unblocks every release; the credits come home.
-  ASSERT_TRUE(emitter_b.Broadcast(kExchangeSeqEnd).ok());
-  ASSERT_TRUE(emitter_a.Broadcast(kExchangeSeqEnd).ok());
+  // B's terminal frontier unblocks every release; the credits come home.
+  emitter_b.Broadcast(kExchangeSeqEnd);
+  emitter_a.Broadcast(kExchangeSeqEnd);
   ASSERT_TRUE(merge.WaitSafe(kExchangeSeqEnd).ok());
   EXPECT_EQ(merge.stats().events_processed, 4u);
   EXPECT_EQ(merge.reorder_buffered(), 0u);
@@ -312,8 +312,8 @@ TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
   // The harshest finalize topology: four producers funneling into ONE
   // merge shard on two credits per lane. Finish() must post end-of-stream
   // to every shard before waiting on any (one shard's finalize emissions
-  // are only releasable once the others' terminal watermarks are in
-  // flight) — a per-shard wait would deadlock here.
+  // are only releasable once the others have raised their frontiers in
+  // their own finish) — a per-shard wait would deadlock here.
   const EventStream stream =
       CrossSubjectStream(/*groups=*/1, /*subjects=*/32, 5000, /*seed=*/13);
   StreamingCepEngine reference;
