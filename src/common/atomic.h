@@ -20,8 +20,8 @@
 // tools/lint_atomics.py (ctest: atomics_lint) and, under PLDP_MODEL_CHECK,
 // by the shadow types having no defaulted-order overloads.
 //
-// PLDP_PROTOCOL_ASSERT states a protocol invariant (e.g. "a reorder
-// buffer never exceeds its credit-bounded capacity"): plain assert() in
+// PLDP_PROTOCOL_ASSERT states a protocol invariant (e.g. "a merge never
+// receives a key below its lane's applied frontier"): plain assert() in
 // normal builds, a model-checker failure (with a replayable schedule
 // trace) under PLDP_MODEL_CHECK.
 
@@ -51,6 +51,14 @@ using RaceCell = check::ShadowRaceCell<T>;
 template <typename T>
 inline T&& RaceCellMove(check::ShadowRaceCell<T>& cell) {
   return cell.Take();
+}
+
+/// Reads the payload of a RaceCell in place (race-checked in model builds,
+/// the cell itself otherwise). Use at every read of a slot the consumer
+/// has not moved out: `RaceCellRead(queue.Front()).key`.
+template <typename T>
+inline const T& RaceCellRead(const check::ShadowRaceCell<T>& cell) {
+  return cell;
 }
 
 using SyncMutex = check::ModelMutex;
@@ -94,6 +102,13 @@ using RaceCell = T;
 template <typename T>
 inline T&& RaceCellMove(T& cell) {
   return static_cast<T&&>(cell);
+}
+
+/// Reads the payload of a RaceCell in place (the cell itself here; the
+/// model build's overload adds the race check).
+template <typename T>
+inline const T& RaceCellRead(const T& cell) {
+  return cell;
 }
 
 using SyncMutex = std::mutex;

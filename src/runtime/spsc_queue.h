@@ -23,11 +23,20 @@
 // queue therefore writes none of its memory: a runtime sized for bursts
 // pays page faults only for the slots its traffic actually reaches.
 //
+// The consumer can also read in place, as with folly's frontPtr/popFront:
+// Readable() refreshes the producer's index once and reports how many
+// items sit at the head, Front() reads the oldest of them where it lies,
+// and PopFront() frees its slot. The payload stays in the freed slot until
+// the producer's next lap assigns over it (or the queue is destroyed), so
+// a consumer that holds items until they are safe to release pays no copy,
+// and the ring's capacity is the one bound on them.
+//
 // The index handoff (push/pop vs pop-empty/push-full races, including the
 // slot payload's visibility through the release/acquire pair) is
-// machine-checked by tests/check/check_spsc_test.cc; its negative twin
-// (PLDP_CHECK_NEGATIVE_SPSC, which weakens the tail publication below to
-// relaxed) proves the checker sees the resulting payload race.
+// machine-checked by tests/check/check_spsc_test.cc, through both consumer
+// paths; its negative twin (PLDP_CHECK_NEGATIVE_SPSC, which weakens the
+// tail publication below to relaxed) proves the checker sees the resulting
+// payload race.
 
 #ifndef PLDP_RUNTIME_SPSC_QUEUE_H_
 #define PLDP_RUNTIME_SPSC_QUEUE_H_
@@ -136,8 +145,7 @@ class SpscQueue {
 
   /// Consumer side. Returns false when the queue is empty.
   PLDP_HOT bool TryPop(T& out) {
-    // order: relaxed; head_ is consumer-owned, only this thread writes it.
-    const size_t head = head_.load(std::memory_order_relaxed);
+    const size_t head = read_;
     if (head == cached_tail_) {
       // order: acquire pairs with the producer's release store of tail_ —
       // the slot contents must be visible before we move them out.
@@ -145,9 +153,7 @@ class SpscQueue {
       if (head == cached_tail_) return false;
     }
     out = RaceCellMove(slots_[head & mask_]);
-    // order: release frees the slot to the producer's acquire load of
-    // head_ — our move-out must complete before it reuses the slot.
-    head_.store(head + 1, std::memory_order_release);
+    Free(head + 1);
     return true;
   }
 
@@ -155,8 +161,7 @@ class SpscQueue {
   /// all of their slots with a single release store. Returns the number
   /// popped; 0 when empty.
   PLDP_HOT size_t TryPopN(T* out, size_t max_count) {
-    // order: relaxed; head_ is consumer-owned, only this thread writes it.
-    const size_t head = head_.load(std::memory_order_relaxed);
+    const size_t head = read_;
     size_t avail = cached_tail_ - head;
     if (avail < max_count) {
       // order: acquire pairs with the producer's release store of tail_.
@@ -167,9 +172,35 @@ class SpscQueue {
     for (size_t i = 0; i < n; ++i) {
       out[i] = RaceCellMove(slots_[(head + i) & mask_]);
     }
-    // order: release frees the whole burst of slots at once.
-    if (n > 0) head_.store(head + n, std::memory_order_release);
+    if (n > 0) Free(head + n);  // one release store for the whole burst
     return n;
+  }
+
+  /// In-place consumer path: refreshes the producer's index (one acquire
+  /// load) and returns how many items can be read at the head with
+  /// Front()/PopFront(). The count is a snapshot: items pushed after it
+  /// stay unread until the next call.
+  PLDP_HOT size_t Readable() {
+    // order: acquire pairs with the producer's release store of tail_ —
+    // the slot contents must be visible before Front() reads them.
+    cached_tail_ = tail_.load(std::memory_order_acquire);
+    return cached_tail_ - read_;
+  }
+
+  /// The oldest unread item, in its slot; requires a Readable() snapshot
+  /// that still covers it. Read the payload through RaceCellRead at each
+  /// use (race-checked in model builds): it is neither moved nor
+  /// destroyed, and stays valid until PopFront().
+  PLDP_HOT const RaceCell<T>& Front() const {
+    PLDP_PROTOCOL_ASSERT(read_ != cached_tail_);
+    return slots_[read_ & mask_];
+  }
+
+  /// Frees the slot Front() returned. Every read of it must come first:
+  /// the producer may overwrite the slot as soon as this returns.
+  PLDP_HOT void PopFront() {
+    PLDP_PROTOCOL_ASSERT(read_ != cached_tail_);
+    Free(read_ + 1);
   }
 
   /// Racy size estimate — exact only when both sides are quiescent.
@@ -205,6 +236,15 @@ class SpscQueue {
   // against the chosen schedule.
   using Slot = RaceCell<T>;
 
+  /// Consumer side: hands every slot below `head` back to the producer.
+  PLDP_HOT void Free(size_t head) {
+    read_ = head;
+    // order: release frees the slots to the producer's acquire load of
+    // head_ — every read or move-out of them must complete before it
+    // reuses them.
+    head_.store(head, std::memory_order_release);
+  }
+
   /// Producer-side slot write for absolute position `pos`: first-lap
   /// positions are raw storage and get constructed, later laps assign.
   PLDP_HOT void Fill(size_t pos, T&& value) {
@@ -235,8 +275,11 @@ class SpscQueue {
   size_t cached_head_ = 0;
   Doorbell* waker_ = nullptr;
 
-  // Consumer-owned line.
+  // Consumer-owned line: its index, a plain copy of it (the consumer is
+  // its only writer, so reading it needs no atomic), and a cache of the
+  // producer's.
   alignas(kCacheLine) Atomic<size_t> head_{0};
+  size_t read_ = 0;
   size_t cached_tail_ = 0;
 };
 

@@ -2,10 +2,11 @@
 //
 // Model-checks the SPSC ring (src/runtime/spsc_queue.h): one producer and
 // one consumer racing push against pop through the real TryPush/TryPop /
-// TryPushN/TryPopN code, with the checker branching over every stale
-// index read coherence allows. The properties: no data race on the
-// payload slots (RaceCell vector-clock check, covering both the first-lap
-// slot construction and later-lap assignment), values arrive in order,
+// TryPushN/TryPopN code and the in-place Readable/Front/PopFront path,
+// with the checker branching over every stale index read coherence
+// allows. The properties: no data race on the payload slots (RaceCell
+// vector-clock check, covering both the first-lap slot construction and
+// later-lap assignment, and every in-place read), values arrive in order,
 // and nothing is lost or duplicated.
 //
 // Compiled twice by CMake: the plain binary asserts the checker exhausts
@@ -102,6 +103,42 @@ ModelResult RunBatchHarness(ModelConfig cfg) {
   });
 }
 
+// The in-place consumer path the exchange merge uses: refresh the tail
+// once, read each readable item where it lies, then free its slot. Every
+// read is race-checked, so a read after the producer could reuse the slot
+// — or before the slot write is visible — is a finding.
+ModelResult RunPeekHarness(ModelConfig cfg,
+                           size_t capacity = kWrappingCapacity) {
+  return RunModel(cfg, [capacity] {
+    auto q = std::make_unique<SpscQueue<int>>(capacity);
+    int producer = ModelSpawn("producer", [&] {
+      for (int v = 1; v <= kItems; ++v) {
+        int item = v;
+        while (!q->TryPush(std::move(item))) ModelYieldSpin();
+      }
+    });
+    int consumer = ModelSpawn("consumer", [&] {
+      int expect = 1;
+      while (expect <= kItems) {
+        size_t readable = q->Readable();
+        if (readable == 0) {
+          ModelYieldSpin();
+          continue;
+        }
+        for (; readable > 0; --readable) {
+          // FIFO, no loss, no duplication.
+          PLDP_MODEL_ASSERT(RaceCellRead(q->Front()) == expect);
+          ++expect;
+          q->PopFront();
+        }
+      }
+    });
+    ModelJoin(producer);
+    ModelJoin(consumer);
+    PLDP_MODEL_ASSERT(q->ApproxEmpty());
+  });
+}
+
 #ifndef PLDP_CHECK_NEGATIVE_SPSC
 
 TEST(SpscModel, SingleElementExhaustsClean) {
@@ -130,6 +167,28 @@ TEST(SpscModel, FirstLapConstructionExhaustsClean) {
   cfg.name = "spsc-first-lap";
   cfg.preemption_bound = 2;
   ModelResult r = RunSingleElementHarness(cfg, kFirstLapCapacity);
+  EXPECT_FALSE(r.failed) << r.report;
+  EXPECT_TRUE(r.exhausted);
+}
+
+// In-place reads after wrapping: the third push assigns into the slot the
+// consumer freed by PopFront, so the read of that slot must be ordered
+// before the head store that frees it.
+TEST(SpscModel, PeekThenPopExhaustsClean) {
+  ModelConfig cfg;
+  cfg.name = "spsc-peek";
+  cfg.preemption_bound = 2;
+  ModelResult r = RunPeekHarness(cfg);
+  EXPECT_FALSE(r.failed) << r.report;
+  EXPECT_TRUE(r.exhausted);
+}
+
+// In-place reads of first-lap slots, which the producer constructed.
+TEST(SpscModel, PeekThenPopFirstLapExhaustsClean) {
+  ModelConfig cfg;
+  cfg.name = "spsc-peek-first-lap";
+  cfg.preemption_bound = 2;
+  ModelResult r = RunPeekHarness(cfg, kFirstLapCapacity);
   EXPECT_FALSE(r.failed) << r.report;
   EXPECT_TRUE(r.exhausted);
 }
@@ -182,6 +241,28 @@ TEST(SpscModelNegative, CheckerCatchesWeakTailPublishFirstLap) {
   ModelResult r = RunSingleElementHarness(cfg, kFirstLapCapacity);
   EXPECT_TRUE(r.failed)
       << "seeded relaxed tail publish (first lap) was NOT caught";
+}
+
+// The in-place read sees the same unpublished slot: the checker must
+// catch the weakened publication through Front() too, after wrapping and
+// on the first lap.
+TEST(SpscModelNegative, CheckerCatchesWeakTailPublishPeek) {
+  ModelConfig cfg;
+  cfg.name = "spsc-weak-tail-peek";
+  cfg.preemption_bound = 2;
+  ModelResult r = RunPeekHarness(cfg);
+  EXPECT_TRUE(r.failed)
+      << "seeded relaxed tail publish (peek) was NOT caught";
+  EXPECT_FALSE(r.replay.empty());
+}
+
+TEST(SpscModelNegative, CheckerCatchesWeakTailPublishPeekFirstLap) {
+  ModelConfig cfg;
+  cfg.name = "spsc-weak-tail-peek-first-lap";
+  cfg.preemption_bound = 2;
+  ModelResult r = RunPeekHarness(cfg, kFirstLapCapacity);
+  EXPECT_TRUE(r.failed)
+      << "seeded relaxed tail publish (peek, first lap) was NOT caught";
 }
 
 #endif  // PLDP_CHECK_NEGATIVE_SPSC

@@ -1,8 +1,9 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Tests for the runtime's SPSC ring buffer: single-threaded semantics
-// (FIFO, capacity, wraparound, move-only payloads, lazy slot lifetime) and
-// correctness under a real producer/consumer thread pair.
+// (FIFO, capacity, wraparound, move-only payloads, lazy slot lifetime,
+// in-place reads) and correctness under a real producer/consumer thread
+// pair.
 
 #include "runtime/spsc_queue.h"
 
@@ -139,17 +140,23 @@ TEST(SpscQueueTest, BulkProducerConsumerThreadPairPreservesSequence) {
   EXPECT_TRUE(q.ApproxEmpty());
 }
 
-// Payload that counts live instances: constructions minus destructions.
-// The queue constructs slots lazily (first lap only), so every slot it
-// constructed must be destroyed exactly once, whenever it is torn down.
+// Payload that counts live instances (constructions minus destructions)
+// and moves. The queue constructs slots lazily (first lap only), so every
+// slot it constructed must be destroyed exactly once, whenever it is torn
+// down.
 struct Counted {
   static inline int live = 0;
+  static inline int moves = 0;
   int value = 0;
   Counted() { ++live; }
   explicit Counted(int v) : value(v) { ++live; }
-  Counted(Counted&& other) noexcept : value(other.value) { ++live; }
+  Counted(Counted&& other) noexcept : value(other.value) {
+    ++live;
+    ++moves;
+  }
   Counted& operator=(Counted&& other) noexcept {
     value = other.value;
+    ++moves;
     return *this;
   }
   ~Counted() { --live; }
@@ -206,6 +213,51 @@ TEST(SpscQueueTest, LazySlotsBalanceWhenBulkPushCrossesFirstLap) {
     EXPECT_EQ(Counted::live, held + 4);
     ASSERT_EQ(q.TryPopN(out, 4), 4u);
     for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i].value, 2 + i);
+  }
+  EXPECT_EQ(Counted::live, base);
+}
+
+TEST(SpscQueueTest, PeekReadsInPlaceUntilPopped) {
+  const int base = Counted::live;
+  {
+    SpscQueue<Counted> q(2);
+    EXPECT_EQ(q.Readable(), 0u);
+    ASSERT_TRUE(q.TryPush(Counted(7)));
+    ASSERT_TRUE(q.TryPush(Counted(8)));
+    const int live = Counted::live;
+    const int moves = Counted::moves;
+
+    // First lap: the head is read where it lies — the same slot on every
+    // call, neither moved nor destroyed by peeking.
+    ASSERT_EQ(q.Readable(), 2u);
+    const Counted& head = q.Front();
+    EXPECT_EQ(head.value, 7);
+    EXPECT_EQ(&q.Front(), &head);
+    EXPECT_EQ(Counted::live, live);
+    EXPECT_EQ(Counted::moves, moves);
+    EXPECT_EQ(q.ApproxSize(), 2u);  // a peeked item still holds its slot
+
+    // Popping frees the slot without moving or destroying the payload; it
+    // stays until the producer's next lap assigns over it.
+    q.PopFront();
+    EXPECT_EQ(q.ApproxSize(), 1u);
+    EXPECT_EQ(Counted::live, live);
+    EXPECT_EQ(Counted::moves, moves);
+    EXPECT_EQ(q.Front().value, 8);  // the snapshot still covers the next
+
+    // After wrapping: position 2 reuses slot 0.
+    ASSERT_TRUE(q.TryPush(Counted(9)));
+    const int wrapped_live = Counted::live;
+    const int wrapped_moves = Counted::moves;
+    ASSERT_EQ(q.Readable(), 2u);
+    EXPECT_EQ(q.Front().value, 8);
+    q.PopFront();
+    EXPECT_EQ(q.Front().value, 9);
+    EXPECT_EQ(Counted::live, wrapped_live);
+    EXPECT_EQ(Counted::moves, wrapped_moves);
+    q.PopFront();
+    EXPECT_EQ(q.Readable(), 0u);
+    EXPECT_TRUE(q.ApproxEmpty());
   }
   EXPECT_EQ(Counted::live, base);
 }
