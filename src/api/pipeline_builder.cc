@@ -123,10 +123,6 @@ std::string PipelinePlan::Describe() const {
     out += StrFormat("overload policy: %s\n",
                      OverloadPolicyName(overload_policy));
   }
-  if (reorder_capacity > 0) {
-    out += StrFormat("exchange reorder credits: %zu per lane\n",
-                     reorder_capacity);
-  }
   if (out.empty()) out = "empty plan\n";
   return out;
 }
@@ -155,12 +151,6 @@ PipelineBuilder& PipelineBuilder::WithQueueCapacity(size_t capacity) {
 
 PipelineBuilder& PipelineBuilder::WithExchangeCapacity(size_t lane_capacity) {
   exchange_capacity_ = lane_capacity;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::WithReorderCapacity(
-    size_t credits_per_lane) {
-  reorder_capacity_ = credits_per_lane;
   return *this;
 }
 
@@ -400,7 +390,6 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
   plan.has_private = has_private;
   plan.private_queries = private_queries_.size();
   plan.private_cross_queries = private_cross_.size();
-  plan.reorder_capacity = reorder_capacity_;
   plan.pin_threads = pin_threads_;
   // The sequential plan has no queues, so the overload policy is moot
   // there; the plan records kBlock to say "nothing will ever shed".
@@ -521,7 +510,6 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
       options.queue_capacity = queue_capacity_;
       options.exchange.shard_count = merge_shards;
       options.exchange.lane_capacity = exchange_capacity_;
-      options.exchange.reorder_capacity = reorder_capacity_;
       options.overload = overload_;
       options.pin_threads = pin_threads_;
       options.affinity_cores = affinity_cores_;
@@ -572,7 +560,6 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
     options.window_origin = window_origin_;
     options.exchange.shard_count = merge_shards;
     options.exchange.lane_capacity = exchange_capacity_;
-    options.exchange.reorder_capacity = reorder_capacity_;
     options.overload = overload_;
     pipeline->private_engine_ =
         std::make_unique<ParallelPrivateEngine>(options);

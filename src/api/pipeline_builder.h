@@ -205,8 +205,6 @@ struct PipelinePlan {
   /// Resolved ingest overload policy (kBlock unless WithOverloadPolicy
   /// chose a shedding policy; always kBlock for the sequential plan).
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
-  /// Per-lane exchange credit budget (0 = engine default).
-  size_t reorder_capacity = 0;
 
   /// Multi-line rendering of the plan.
   std::string Describe() const;
@@ -407,15 +405,12 @@ class PipelineBuilder {
   /// is the primary memory/backpressure knob: a full queue blocks the
   /// ingest thread (default policy) or triggers the overload policy.
   PipelineBuilder& WithQueueCapacity(size_t capacity);
-  /// Capacity of each exchange lane (rounded up to a power of two).
+  /// Capacity of each exchange lane (rounded up to a power of two). A lane
+  /// doubles as its merge shard's reorder buffer, so this is also the hard
+  /// bound on how many events one stage-1 producer may have waiting in one
+  /// merge shard; a full lane backpressures the producer (counted by
+  /// pldp_exchange_backpressure_waits_total).
   PipelineBuilder& WithExchangeCapacity(size_t lane_capacity);
-  /// Per-lane flow-control credit budget of the exchange: a hard bound on
-  /// how many events one stage-1 producer may have waiting in one merge
-  /// shard's reorder buffer. A merge shard's reorder memory is bounded by
-  /// shards × this value; exhausted credit backpressures the producer
-  /// (counted by pldp_exchange_credit_exhausted_waits_total). 0 (default)
-  /// = kDefaultExchangeReorderCapacity.
-  PipelineBuilder& WithReorderCapacity(size_t credits_per_lane);
   /// What ingestion does when a shard queue is full. kBlock (default)
   /// blocks the ingest thread until the worker catches up — lossless.
   /// kShedOldest / kShedBySubject bound ingest latency instead by
@@ -549,7 +544,6 @@ class PipelineBuilder {
   size_t cross_shards_ = 0;
   size_t queue_capacity_ = 1024;
   size_t exchange_capacity_ = 1024;
-  size_t reorder_capacity_ = 0;
   OverloadOptions overload_;
   uint64_t seed_ = 0x9111bea5ULL;
   bool pin_threads_ = false;

@@ -49,7 +49,7 @@ class PublisherSink final : public ShardEventSink {
     if (finalizing_) {
       // Finalize-time views are triggered at finish_seq + subject: subjects
       // are disjoint across shards, so no two producers stamp the same
-      // primary (the frontier's credit-liveness argument needs that), and
+      // primary (the flow-control liveness argument needs that), and
       // the merged order is ascending subject — matching a sequential
       // publisher's ordered Finalize.
       emitter_->BeginTrigger(finish_seq_ + subject);

@@ -48,9 +48,9 @@ void FinalizeHealth(PipelineHealth* health, const HealthThresholds& t) {
     }
   }
   for (const PipelineHealth::GroupRow& row : health->groups) {
-    // A reorder buffer near its credit bound means producers are (or are
-    // about to start) spinning on exhausted credits: stage 2 is not keeping
-    // up and backpressure is propagating upstream.
+    // Input lanes near their capacity mean producers are (or are about to
+    // start) blocking on full lanes: stage 2 is not keeping up and
+    // backpressure is propagating upstream.
     if (row.reorder_capacity > 0 &&
         static_cast<double>(row.reorder_depth) /
                 static_cast<double>(row.reorder_capacity) >=
@@ -58,7 +58,7 @@ void FinalizeHealth(PipelineHealth* health, const HealthThresholds& t) {
       char buf[200];
       std::snprintf(buf, sizeof(buf),
                     "%s group '%s' merge %zu reorder buffer at %llu/%llu "
-                    "(credit exhaustion imminent)",
+                    "(lanes nearly full, producers about to block)",
                     row.lane.c_str(), row.group.c_str(), row.merge_shard,
                     static_cast<unsigned long long>(row.reorder_depth),
                     static_cast<unsigned long long>(row.reorder_capacity));

@@ -42,9 +42,9 @@ struct PipelineHealth {
     std::string group;  ///< correlation-key id ("default" for unkeyed)
     size_t merge_shard = 0;
     uint64_t watermark_lag = 0;   ///< ingest frontier − safe watermark
-    uint64_t reorder_depth = 0;   ///< events waiting in the reorder buffer
-    /// Hard reorder-buffer bound (sum of the input lanes' credit budgets);
-    /// 0 when the engine predates flow control.
+    uint64_t reorder_depth = 0;   ///< events in flight on the input lanes
+    /// Hard reorder-depth bound (summed capacity of the input lanes); 0
+    /// leaves the saturation rule off for the row.
     uint64_t reorder_capacity = 0;
   };
 

@@ -33,18 +33,13 @@ struct ExchangeInstruments {
   Counter* forwarded = nullptr;           ///< events pushed into lanes
   Counter* watermarks = nullptr;          ///< frontier advances
   Counter* backpressure_waits = nullptr;  ///< full-lane spins on emit
-  Counter* credit_exhausted_waits = nullptr;  ///< flow-control credit stalls
-  Gauge* lane_depth = nullptr;            ///< snapshot-time sum of lane sizes
 };
 
 /// Per-merge-shard instruments (runtime/merge_shard.h).
 struct MergeInstruments {
-  Counter* events_received = nullptr;  ///< popped from exchange lanes
+  Counter* events_received = nullptr;  ///< became readable on the lanes
   Counter* events_merged = nullptr;    ///< released to the engine in order
   Histogram* merge_latency_ns = nullptr;  ///< per-released-event latency
-  Gauge* reorder_depth = nullptr;      ///< snapshot-time buffered events
-  Gauge* reorder_capacity = nullptr;   ///< hard bound (sum of lane credits)
-  Gauge* watermark_lag = nullptr;  ///< snapshot-time ingest vs safe seq
   Counter* parks = nullptr;        ///< idle worker cv parks
   Counter* wakes = nullptr;        ///< doorbell slow-path notifies
 };

@@ -125,24 +125,6 @@ void AdmissionQueue::Pump() {
   MaybeClearShedSet();
 }
 
-Status AdmissionQueue::FlushBlocking() {
-  ingest_role_.Assert();
-  for (PerShard& ps : state_) {
-    while (!ps.pending.empty()) {
-      PLDP_RETURN_IF_ERROR(ps.shard->PushStampedN(&ps.pending.front(), 1));
-      ps.pending.pop_front();
-      // order: relaxed; ingest-thread-owned counters (telemetry hints).
-      pending_total_.fetch_sub(1, std::memory_order_relaxed);
-      if (pushed_counter_ != nullptr) {
-        pushed_counter_->fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    SyncPendingSeq(ps);
-  }
-  MaybeClearShedSet();
-  return Status::OK();
-}
-
 uint64_t AdmissionQueue::ClampFloor(uint64_t floor) const {
   uint64_t clamped = floor;
   for (const PerShard& ps : state_) {

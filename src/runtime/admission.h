@@ -39,7 +39,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/status.h"
 #include "common/thread_annotations.h"
 #include "event/event.h"
 #include "obs/instruments.h"
@@ -78,13 +77,18 @@ class AdmissionQueue {
   /// admitted (queued or parked), false when it was shed. Never blocks.
   bool Offer(size_t shard_index, StampedEvent stamped);
 
-  /// Opportunistic non-blocking flush of every pending FIFO. Cheap when
-  /// everything is empty; call it once per ingest batch.
+  /// Non-blocking flush of every pending FIFO, one round over the shards.
+  /// Cheap when everything is empty; call it once per ingest batch. The
+  /// drain/finish barriers repeat it in the engine's ingest wait loop,
+  /// which publishes the producer floor before it waits.
   void Pump();
 
-  /// Blocking flush of every pending FIFO — the drain/finish barrier
-  /// path. Fails fast (like Shard::PushStampedN) when a shard stops.
-  Status FlushBlocking();
+  /// True while `shard_index` has parked events (atomic; any thread).
+  bool parked(size_t shard_index) const {
+    // order: relaxed; see ClampFloor.
+    return state_[shard_index].oldest_pending_seq.load(
+               std::memory_order_relaxed) != ~uint64_t{0};
+  }
 
   /// min(floor, oldest parked sequence number across shards): the value
   /// that is actually safe to publish as a producer floor.

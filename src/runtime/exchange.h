@@ -31,32 +31,31 @@
 // event until every other lane is known to be past its key. Each producer
 // row owns one monotone watermark word (MillWheel's low watermark):
 // frontier `b` promises every future item of the row a primary >= b. The
-// row's driver raises it when idle, at drain barriers and when
-// credit-blocked — a release store plus a doorbell ring, no queue slot, no
+// row's driver raises it when idle, at drain barriers and before waiting
+// on a full lane — a release store plus a doorbell ring, no queue slot, no
 // blocking; `kExchangeSeqEnd` closes the row. A merge loads it *before*
-// draining the lane and applies it *after* the drained items.
+// reading the lane and applies it *after* the items that read exposed.
 //
-// Flow control: each lane carries a credit counter initialized to the
-// consumer's reorder-buffer capacity. An Emit consumes one credit; the
-// merge returns it when the event is released to the engine. Events
-// in flight on a lane (queue + reorder buffer) therefore never exceed
-// the credit budget, which caps the reorder buffer — a stalled merge
-// shard backpressures its producers (and transitively the ingest
-// thread) instead of buffering without bound. A credit-blocked producer
-// raises its frontier to the primary it is blocked on before spinning,
-// which lets the merge release everything below it and return credits.
-// Because the word holds only a primary, that needs the producers of one
-// fabric to stamp distinct primaries — see docs/ARCHITECTURE.md
-// ("Credit-based flow control").
+// Flow control: the lane is the merge's reorder buffer. The merge reads
+// each lane's head in place and frees its slot only once the engine has
+// consumed the event, so a lane's capacity bounds both the events in
+// flight on it and the merge's reorder depth for it; a stalled merge
+// shard backpressures its producers (and transitively the ingest thread)
+// through full lanes. Liveness rests on one rule: whoever waits on a full
+// queue or lane first publishes how far it has got. A stage-1 shard
+// blocked on a full lane raises the frontier of every row it owns (one
+// per lane-group) to the primary it is blocked on; the ingest thread
+// publishes the producer floor before it waits on a full shard queue.
+// Because a frontier word holds only a primary, the producers of one
+// fabric must stamp distinct primaries — see docs/ARCHITECTURE.md
+// ("Flow control and liveness").
 //
-// The credit protocol (consume on Emit, return on release, buffer never
-// exceeding the budget) is machine-checked by
-// tests/check/check_credits_test.cc; its negative twin
-// (PLDP_CHECK_NEGATIVE_CREDITS in merge_shard.cc, which returns the
-// credit at receipt instead of at release) trips the reorder buffer's
-// capacity assert under the model checker, and PLDP_CHECK_NEGATIVE_FRONTIER
-// (the merge reads the frontier after draining the lane) trips the
-// `lane.bound <= item.key` order assert.
+// The full-lane wait and the in-place merge are machine-checked by
+// tests/check/check_credits_test.cc; its negative twins
+// PLDP_CHECK_NEGATIVE_POP_EARLY (the merge frees a slot before the engine
+// reads it, caught as a slot race) and PLDP_CHECK_NEGATIVE_FRONTIER (the
+// merge reads the frontier after the lane, caught by the
+// `lane.bound <= item.key` order assert) must each be caught.
 
 #ifndef PLDP_RUNTIME_EXCHANGE_H_
 #define PLDP_RUNTIME_EXCHANGE_H_
@@ -102,26 +101,13 @@ struct ExchangeItem {
   Event event;
 };
 
-/// Default per-lane credit budget (== the consumer's per-lane reorder
-/// capacity) when the caller does not size it explicitly.
-inline constexpr size_t kDefaultExchangeReorderCapacity = 1024;
-
-/// One SPSC lane of the matrix, plus its flow-control credit counter and
-/// its producer row's frontier.
+/// One SPSC lane of the matrix plus its producer row's frontier.
 struct ExchangeLane {
-  ExchangeLane(size_t capacity, size_t credit_budget,
-               Atomic<uint64_t>& row_frontier)
-      : queue(capacity),
-        initial_credits(credit_budget),
-        credits(credit_budget),
-        frontier(row_frontier) {}
+  ExchangeLane(size_t capacity, Atomic<uint64_t>& row_frontier)
+      : queue(capacity), frontier(row_frontier) {}
+  /// Doubles as the consumer's reorder buffer for this lane (see
+  /// MergeShard): a slot is freed only after its event was released.
   SpscQueue<ExchangeItem> queue;
-  /// The lane's credit budget — also the hard capacity of the consumer's
-  /// per-lane reorder buffer (see MergeShard). Fixed at construction.
-  const size_t initial_credits;
-  /// Remaining credits. Decremented by the producer (one per Emit),
-  /// incremented by the consumer (one per event released to its engine).
-  Atomic<uint64_t> credits;
   /// The producer row's frontier, shared by every lane of the row: every
   /// future item on this lane has primary >= it. Written only by the row's
   /// driver (release, monotone); the consumer acquire-loads it before
@@ -134,12 +120,9 @@ struct ExchangeLane {
 class ExchangeFabric {
  public:
   /// `producers`/`consumers` must be >= 1; `lane_capacity` bounds each lane
-  /// like any runtime queue (rounded up to a power of two, clamped).
-  /// `reorder_capacity` is each lane's credit budget == the hard capacity
-  /// of the consumer-side reorder buffer fed by that lane (0 = the
-  /// default, kDefaultExchangeReorderCapacity).
-  ExchangeFabric(size_t producers, size_t consumers, size_t lane_capacity,
-                 size_t reorder_capacity = 0);
+  /// like any runtime queue (rounded up to a power of two, clamped) and
+  /// with it the consumer's per-lane reorder depth.
+  ExchangeFabric(size_t producers, size_t consumers, size_t lane_capacity);
 
   size_t producer_count() const { return producers_; }
   size_t consumer_count() const { return consumers_; }
@@ -178,11 +161,8 @@ class ExchangeFabric {
 struct ExchangeEmitterStats {
   /// Events emitted into the fabric.
   size_t forwarded = 0;
-  /// Times a full lane made the producer wait.
+  /// Times a full lane made the producer wait (one per wait episode).
   size_t backpressure_waits = 0;
-  /// Times an exhausted credit budget made the producer wait for the
-  /// consumer to release buffered events (one per wait episode).
-  size_t credit_exhausted_waits = 0;
 };
 
 /// The stage-1 side of the fabric: owned by one shard, driven only by that
@@ -201,6 +181,13 @@ class ExchangeEmitter {
 
   size_t consumer_count() const { return row_.size(); }
 
+  /// The rows a full-lane wait raises: every emitter of the owning shard,
+  /// one per lane-group, this one included (the default is this emitter
+  /// alone). Set by the owning shard before Start.
+  void SetShardRows(std::vector<ExchangeEmitter*> rows) {
+    shard_rows_ = std::move(rows);
+  }
+
   /// Opens the emission scope of one trigger: subsequent Emit calls stamp
   /// (primary, n) for n = 0, 1, ... Primaries must be opened in strictly
   /// increasing order per emitter and never repeat across the producers of
@@ -213,9 +200,8 @@ class ExchangeEmitter {
   }
 
   /// Routes `event` to its consumer lane, blocking (with backoff) while
-  /// the lane is full or its credit budget is exhausted (i.e. the
-  /// consumer's reorder buffer holds the whole budget). Fails fast when
-  /// the fabric was aborted.
+  /// the lane is full — i.e. while the consumer still holds a lane's worth
+  /// of this row's events. Fails fast when the fabric was aborted.
   PLDP_HOT Status Emit(const Event& event);
 
   /// Raises the row's frontier to `bound` — every future item on this row
@@ -240,12 +226,13 @@ class ExchangeEmitter {
   }
 
  private:
-  /// Credit-exhaustion wait: counts the episode, raises the row's frontier
+  /// Full-lane wait: counts the episode, raises every shard row's frontier
   /// to the current trigger — the primary of the item still waiting to be
-  /// pushed (without it a cycle of credit-blocked producers could deadlock
-  /// the merge) — then spins until the consumer returns a credit or the
-  /// fabric aborts.
-  Status AcquireCreditSlow(ExchangeLane& lane) PLDP_REQUIRES(driver_role_);
+  /// pushed (without it, shards blocked on each other's unreleased items
+  /// could deadlock the merges) — then spins until the push succeeds or
+  /// the fabric aborts.
+  Status PushSlow(ExchangeLane& lane, ExchangeItem& item)
+      PLDP_REQUIRES(driver_role_);
 
   std::vector<ExchangeLane*> row_;
   /// The row's frontier word (owned by the fabric; this emitter is its
@@ -253,6 +240,8 @@ class ExchangeEmitter {
   Atomic<uint64_t>& frontier_;
   EventRouter router_;
   ExchangeFabric* fabric_;
+  /// See SetShardRows.
+  std::vector<ExchangeEmitter*> shard_rows_{this};
 
   /// Single-driver contract: BeginTrigger/Emit/Broadcast are driven by one
   /// thread at a time — the owning shard's worker while it runs, the
@@ -268,7 +257,6 @@ class ExchangeEmitter {
   // Stats written by the worker (relaxed), read from any thread.
   Atomic<uint64_t> forwarded_{0};
   Atomic<uint64_t> backpressure_waits_{0};
-  Atomic<uint64_t> credit_exhausted_waits_{0};
 
   // Telemetry bundle (null fields = un-instrumented), fixed before Start.
   obs::ExchangeInstruments obs_;

@@ -10,36 +10,21 @@
 namespace pldp {
 namespace {
 
-// Per-lane receive burst: amortizes the queue's release store without
-// letting one busy lane starve the merge of the others.
-constexpr size_t kReceiveBatch = 128;
-
-}  // namespace
-
-namespace {
-
-size_t SumCredits(const std::vector<ExchangeLane*>& inputs) {
+size_t SumCapacities(const std::vector<ExchangeLane*>& inputs) {
   size_t total = 0;
-  for (const ExchangeLane* lane : inputs) total += lane->initial_credits;
+  for (const ExchangeLane* lane : inputs) total += lane->queue.capacity();
   return total;
 }
 
 }  // namespace
 
 MergeShard::MergeShard(size_t index, std::vector<ExchangeLane*> inputs)
-    : index_(index), reorder_capacity_(SumCredits(inputs)) {
-  lanes_.reserve(inputs.size());
-  for (ExchangeLane* lane : inputs) {
+    : index_(index),
+      reorder_capacity_(SumCapacities(inputs)),
+      inputs_(std::move(inputs)) {
+  lanes_.reserve(inputs_.size());
+  for (ExchangeLane* lane : inputs_) {
     lanes_.emplace_back(lane);
-    // Defense-in-depth: under credit accounting a lane can never buffer
-    // more than its budget; the cap turns a broken invariant into a debug
-    // assert instead of silent unbounded growth.
-    lanes_.back().buffer.set_capacity_limit(lane->initial_credits);
-    // Pre-size the reorder ring to that same bound: the credit budget is
-    // the exact worst-case occupancy, so paying the allocation here (at
-    // Build()) makes the steady state allocation-flat instead of growing
-    // the ring through log2(credits) reallocations under load.
-    lanes_.back().buffer.reserve(lane->initial_credits);
     // This shard's worker is the lane queue's sole consumer: route the
     // lane's doorbell (pushes and frontier advances alike) to it.
     lane->queue.SetWaker(&doorbell_);
@@ -154,63 +139,42 @@ ShardStats MergeShard::stats() const {
       static_cast<size_t>(detections_.load(std::memory_order_relaxed));
   s.parks = static_cast<size_t>(doorbell_.parks());
   s.wakes = static_cast<size_t>(doorbell_.wakes());
+  s.safe_primary = safe_primary();
   return s;
 }
 
+size_t MergeShard::reorder_buffered() const {
+  size_t depth = 0;
+  for (const ExchangeLane* lane : inputs_) depth += lane->queue.ApproxSize();
+  return depth;
+}
+
 bool MergeShard::ReceiveAvailable() {
-  bool any = false;
   size_t received = 0;
-  ExchangeItem burst[kReceiveBatch];
   for (LaneState& lane : lanes_) {
-    // Read the frontier BEFORE draining: the producer pushed every item
+    // Read the frontier BEFORE the lane: the producer pushed every item
     // below it before its release store, so this acquire makes all of them
-    // visible to the drain below, and the bound is applied only after them.
+    // readable below, and the bound is applied only after them.
     // order: acquire pairs with ExchangeEmitter::Broadcast's release store.
-    uint64_t frontier = lane.lane->frontier.load(std::memory_order_acquire);
-    for (;;) {
-      const size_t n = lane.lane->queue.TryPopN(burst, kReceiveBatch);
-      if (n == 0) break;
-      any = true;
-      for (size_t i = 0; i < n; ++i) {
-        ExchangeItem& item = burst[i];
-        // The applied frontier promised every later item a key at or
-        // above it.
-        PLDP_PROTOCOL_ASSERT(lane.bound <= item.key);
-        // Events bound the future strictly: later keys exceed this one.
-        lane.bound = ExchangeKey{item.key.primary, item.key.sub + 1};
-#ifdef PLDP_CHECK_NEGATIVE_CREDITS
-        // Seeded mutation for the model checker's negative suite:
-        // returning the credit at *receipt* instead of at release lets
-        // the producer put a full budget back in flight while this
-        // buffer still holds the previous budget — push_back trips the
-        // ring's PLDP_PROTOCOL_ASSERT capacity cap.
-        // atomics-allow: seeded negative-build mutation, not a shipped
-        // ordering decision.
-        lane.lane->credits.fetch_add(1, std::memory_order_release);
-#endif
-        lane.buffer.push_back(std::move(item));
-        ++received;
-      }
-      if (n < kReceiveBatch) break;
-    }
+    lane.frontier = lane.lane->frontier.load(std::memory_order_acquire);
+    const size_t readable = lane.lane->queue.Readable();
 #ifdef PLDP_CHECK_NEGATIVE_FRONTIER
     // Seeded mutation for the model checker's negative suite: re-reading
-    // the frontier *after* the drain can observe a store whose earlier
-    // items the drain missed — the next pass receives an item below the
-    // applied bound and trips the PLDP_PROTOCOL_ASSERT above.
+    // the frontier *after* the lane can observe a store whose earlier
+    // items that read missed — a later pass then reads an item below the
+    // applied bound and trips the PLDP_PROTOCOL_ASSERT in MergePass.
     // atomics-allow: seeded negative-build mutation, not a shipped
     // ordering decision.
-    frontier = lane.lane->frontier.load(std::memory_order_acquire);
+    lane.frontier = lane.lane->frontier.load(std::memory_order_acquire);
 #endif
-    const ExchangeKey floor{frontier, 0};
-    if (lane.bound < floor) lane.bound = floor;
+    received += readable - lane.readable;
+    lane.readable = readable;
+    if (readable == 0) lane.ApplyFrontier();
   }
-  if (received > 0) {
-    // order: relaxed; gauge only, scrape threads don't read the buffers.
-    buffered_.fetch_add(received, std::memory_order_relaxed);
-    if (obs_.events_received) obs_.events_received->Inc(received);
+  if (received > 0 && obs_.events_received) {
+    obs_.events_received->Inc(received);
   }
-  return any;
+  return received > 0;
 }
 
 bool MergeShard::MergePass(bool force) {
@@ -218,39 +182,51 @@ bool MergeShard::MergePass(bool force) {
   // Chained clock reads: one MonotonicNowNs per released event.
   uint64_t t_prev = obs_.merge_latency_ns ? obs::MonotonicNowNs() : 0;
   for (;;) {
-    // Candidate: the globally smallest buffered key.
+    // Candidate: the globally smallest readable head, read in place.
     LaneState* best = nullptr;
+    ExchangeKey key;
     for (LaneState& lane : lanes_) {
-      if (lane.buffer.empty()) continue;
-      if (best == nullptr ||
-          lane.buffer.front().key < best->buffer.front().key) {
+      if (lane.readable == 0) continue;
+      const ExchangeItem& item = RaceCellRead(lane.lane->queue.Front());
+      // The applied frontier promised every later item a key at or above
+      // it.
+      PLDP_PROTOCOL_ASSERT(lane.bound <= item.key);
+      if (best == nullptr || item.key < key) {
         best = &lane;
+        key = item.key;
       }
     }
     if (best == nullptr) break;
     if (!force) {
       // Release only when every silent lane provably passed the candidate.
-      const ExchangeKey& key = best->buffer.front().key;
       bool safe = true;
       for (const LaneState& lane : lanes_) {
-        if (lane.buffer.empty() && lane.bound <= key) {
+        if (lane.readable == 0 && lane.bound <= key) {
           safe = false;
           break;
         }
       }
       if (!safe) break;
     }
+    SpscQueue<ExchangeItem>& queue = best->lane->queue;
+    const RaceCell<ExchangeItem>& slot = queue.Front();
+#ifdef PLDP_CHECK_NEGATIVE_POP_EARLY
+    // Seeded mutation for the model checker's negative suite: freeing the
+    // slot before the engine reads it lets the producer's next lap write
+    // the slot under that read — RaceCellRead reports the race.
+    queue.PopFront();
+#endif
     // The engine's status is always OK today (see Shard::RunLoop); a future
     // failing engine would latch the error for the drain barrier.
-    (void)engine_.OnEvent(best->buffer.front().event);
-    best->buffer.pop_front();
-#ifndef PLDP_CHECK_NEGATIVE_CREDITS
-    // Return the flow-control credit: the event left the reorder buffer,
-    // so its producer may put another one in flight on this lane.
-    // order: release pairs with the producer's acquire load — the freed
-    // buffer slot must be visible before it is refilled.
-    best->lane->credits.fetch_add(1, std::memory_order_release);
+    (void)engine_.OnEvent(RaceCellRead(slot).event);
+#ifndef PLDP_CHECK_NEGATIVE_POP_EARLY
+    // The engine is done with the event: only now may the producer reuse
+    // its slot.
+    queue.PopFront();
 #endif
+    // Events bound the future strictly: later keys exceed this one.
+    best->bound = ExchangeKey{key.primary, key.sub + 1};
+    if (--best->readable == 0) best->ApplyFrontier();
     ++released;
     if (obs_.merge_latency_ns) {
       const uint64_t t_now = obs::MonotonicNowNs();
@@ -261,8 +237,6 @@ bool MergeShard::MergePass(bool force) {
   if (released > 0) {
     // order: release publishes the engine effects to stats() readers.
     merged_.fetch_add(released, std::memory_order_release);
-    // order: relaxed; gauge only.
-    buffered_.fetch_sub(released, std::memory_order_relaxed);
     if (obs_.events_merged) obs_.events_merged->Inc(released);
   }
   return released > 0;
@@ -271,14 +245,14 @@ bool MergeShard::MergePass(bool force) {
 void MergeShard::PublishSafeBound() {
   uint64_t frontier = kExchangeSeqEnd;
   for (const LaneState& lane : lanes_) {
-    const uint64_t lane_frontier = lane.buffer.empty()
-                                       ? lane.bound.primary
-                                       : lane.buffer.front().key.primary;
+    const uint64_t lane_frontier =
+        lane.readable == 0
+            ? lane.bound.primary
+            : RaceCellRead(lane.lane->queue.Front()).key.primary;
     if (lane_frontier < frontier) frontier = lane_frontier;
   }
-  // order: relaxed; this thread is the only writer, so its own last
-  // store is always visible to it.
-  if (frontier > safe_primary_.load(std::memory_order_relaxed)) {
+  if (frontier > published_safe_) {
+    published_safe_ = frontier;
     // order: release publishes the merged engine state to WaitSafe.
     safe_primary_.store(frontier, std::memory_order_release);
   }
@@ -286,21 +260,15 @@ void MergeShard::PublishSafeBound() {
 
 void MergeShard::RunLoop() {
   Backoff backoff;
-  // Plain snapshot for the park predicate: the lane set is frozen at
-  // construction, but `lanes_` itself is worker-role-guarded and the
-  // predicate lambda is analyzed as an unannotated function — so it
-  // captures only this unguarded local. `applied` is refreshed before each
-  // park with the frontier primary the lane's bound already covers.
-  struct Watch {
-    SpscQueue<ExchangeItem>* queue;
-    const Atomic<uint64_t>* frontier;
-    uint64_t applied;
+  // What the lane state already covers, refreshed before each park: the
+  // lane occupancy the worker last read and the frontier it last loaded.
+  // A plain local because the predicate lambda is analyzed as an
+  // unannotated function and must not touch the worker-guarded lanes_.
+  struct Seen {
+    size_t size;
+    uint64_t frontier;
   };
-  std::vector<Watch> watch;
-  watch.reserve(lanes_.size());
-  for (LaneState& lane : lanes_) {
-    watch.push_back({&lane.lane->queue, &lane.lane->frontier, 0});
-  }
+  std::vector<Seen> seen(inputs_.size());
   for (;;) {
     const bool received = ReceiveAvailable();
     const bool merged = MergePass(/*force=*/false);
@@ -314,18 +282,20 @@ void MergeShard::RunLoop() {
     if (backoff.ShouldPark()) {
       // Every wake source rings this doorbell: lane pushes (via
       // SetWaker), frontier advances (ExchangeEmitter::Broadcast) and
-      // Stop(). Merge progress is entirely driven by lane input, so an
-      // all-empty column whose frontiers are all applied, with no stop, is
-      // genuinely idle. See runtime/backoff.h for the lost-wakeup
-      // argument.
-      for (size_t i = 0; i < watch.size(); ++i) {
-        watch[i].applied = lanes_[i].bound.primary;
+      // Stop(). Merge progress is driven entirely by lane input, so a
+      // column with no new item and no new frontier, and no stop, is
+      // genuinely idle — a gated head that is still readable is not a
+      // reason to wake, or a gated merge would spin instead of parking.
+      // See runtime/backoff.h for the lost-wakeup argument.
+      for (size_t i = 0; i < seen.size(); ++i) {
+        seen[i] = {lanes_[i].readable, lanes_[i].frontier};
       }
-      (void)doorbell_.ParkUnless([this, &watch] {
-        for (const Watch& w : watch) {
-          if (!w.queue->ApproxEmpty()) return true;
+      (void)doorbell_.ParkUnless([this, &seen] {
+        for (size_t i = 0; i < seen.size(); ++i) {
+          if (inputs_[i]->queue.ApproxSize() > seen[i].size) return true;
           // order: acquire pairs with Broadcast's release store.
-          if (w.frontier->load(std::memory_order_acquire) > w.applied) {
+          if (inputs_[i]->frontier.load(std::memory_order_acquire) >
+              seen[i].frontier) {
             return true;
           }
         }

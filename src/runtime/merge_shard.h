@@ -7,36 +7,31 @@
 // `StreamingCepEngine` holding the cross-subject queries. The worker
 // restores global order with a frontier-gated k-way merge:
 //
-//   - every lane delivers strictly increasing `ExchangeKey`s; received
-//     events are staged in a per-lane reorder buffer, and the producer
-//     row's frontier word only advances the lane's lower bound (loaded
-//     before the lane is drained, applied after the drained items);
-//   - the smallest buffered key is released to the engine exactly when
-//     every other lane is known to be past it (a buffered head or a
-//     frontier bound proves it) — so the engine sees the events of this
+//   - every lane delivers strictly increasing `ExchangeKey`s, and the lane
+//     itself is the reorder buffer: the worker reads each head in place
+//     (SpscQueue::Readable/Front) and frees the slot (PopFront) only after
+//     the engine consumed the event. The producer row's frontier word
+//     advances the lane's lower bound once the lane reads empty (loaded
+//     before the lane is read, applied after the items that read exposed);
+//   - the smallest head key is released to the engine exactly when every
+//     other lane is known to be past it (a readable head or a frontier
+//     bound proves it) — so the engine sees the events of this
 //     correlation partition in precisely the order a sequential engine
 //     processing the whole stream would have seen them;
 //   - after each pass the worker publishes `safe_primary`, the sequence
 //     number through which everything has been merged and processed. Drain
 //     barriers wait on it; `kExchangeSeqEnd` means the pipeline is sealed.
 //
-// The reorder buffers are hard-bounded by the exchange's credit protocol:
-// each lane carries a credit budget equal to its reorder capacity
-// (ExchangeLane::initial_credits), an Emit consumes one credit, and this
-// shard returns it when the event is released to the engine — so a lane's
-// in-flight events (queue + buffer) never exceed the budget, whatever the
-// producers do. In steady state the buffers hold at most a few lane
-// bursts, because every producer keeps raising its frontier when idle —
-// even one that receives no traffic at all (the router periodically
-// publishes a producer floor for exactly that case). When this shard
-// stalls, the exhausted credits backpressure the producers (and
-// transitively the ingest thread) instead of growing the buffers; the
-// buffers carry a protocol-assert capacity cap documenting that bound.
+// A lane's capacity is therefore the one bound on its in-flight events and
+// on this shard's reorder depth for it. When this shard stalls, full lanes
+// backpressure the producers (and transitively the ingest thread); in
+// steady state the lanes hold at most a few bursts, because every producer
+// keeps raising its frontier when idle or blocked (runtime/exchange.h).
 //
-// The consume/return credit cycle and the capacity cap are machine-checked
-// by tests/check/check_credits_test.cc (model seams below); the negative
-// twin PLDP_CHECK_NEGATIVE_CREDITS (merge_shard.cc) returns credits at
-// receipt instead of at release and trips the cap under the checker.
+// The in-place read and the full-lane wait are machine-checked by
+// tests/check/check_credits_test.cc (model seams below); the negative twin
+// PLDP_CHECK_NEGATIVE_POP_EARLY (merge_shard.cc) frees the slot before the
+// engine reads it, and the checker reports the slot race.
 //
 // Threading contract: AddQuery before Start; exactly one orchestrator
 // thread calls Start/Stop; WaitSafe/stats may be called from any thread.
@@ -58,7 +53,6 @@
 #include "obs/instruments.h"
 #include "runtime/backoff.h"
 #include "runtime/exchange.h"
-#include "runtime/ring_buffer.h"
 #include "runtime/shard.h"
 
 namespace pldp {
@@ -129,17 +123,14 @@ class MergeShard {
   /// waits are counted by the emitters).
   ShardStats stats() const;
 
-  /// Instantaneous reorder-buffer occupancy across all lanes — safe from
-  /// any thread (dedicated atomic; the ring buffers themselves are
-  /// worker-local). Gauge/health source.
-  size_t reorder_buffered() const {
-    // order: relaxed; instantaneous gauge, no payload to acquire.
-    return static_cast<size_t>(buffered_.load(std::memory_order_relaxed));
-  }
+  /// Instantaneous reorder depth: the summed occupancy of the input lanes
+  /// (events emitted to this shard and not yet released). Safe from any
+  /// thread (SPSC indices are atomics). Gauge/health source.
+  size_t reorder_buffered() const;
 
-  /// Hard occupancy bound across all lanes (sum of the lanes' credit
-  /// budgets) — the denominator of reorder saturation in health/metrics.
-  /// Constant after construction; safe from any thread.
+  /// Summed capacity of the input lanes — the hard bound on
+  /// reorder_buffered() and the denominator of reorder saturation in
+  /// health/metrics. Constant after construction; safe from any thread.
   size_t reorder_capacity() const { return reorder_capacity_; }
 
 #ifdef PLDP_MODEL_CHECK
@@ -172,34 +163,48 @@ class MergeShard {
   struct LaneState {
     explicit LaneState(ExchangeLane* l) : lane(l) {}
     ExchangeLane* lane;
-    /// Events received but not yet safe to release, in key order. A ring
-    /// (not a deque) so steady-state buffering never allocates — capacity
-    /// sticks after the first bursts (see runtime/ring_buffer.h).
-    RingBuffer<ExchangeItem> buffer;
-    /// Lower bound on every future key of this lane (from the last
-    /// received item or the applied frontier).
+    /// Items readable at the lane's head, from the last Readable() minus
+    /// those popped since.
+    size_t readable = 0;
+    /// The row frontier loaded just before that Readable(): it bounds
+    /// every item behind the readable ones, so it is applied to `bound`
+    /// once they are all popped.
+    uint64_t frontier = 0;
+    /// Lower bound on every key behind the readable items (from the last
+    /// popped item or the applied frontier).
     ExchangeKey bound{0, 0};
+
+    /// Raises `bound` to the loaded frontier. Valid only once every item
+    /// the frontier was loaded ahead of has been popped.
+    void ApplyFrontier() {
+      const ExchangeKey floor{frontier, 0};
+      if (bound < floor) bound = floor;
+    }
   };
 
   void RunLoop() PLDP_REQUIRES(worker_role_);
-  /// Drains whatever the lanes currently hold into the reorder buffers.
+  /// Refreshes every lane's readable count and frontier; true when new
+  /// items became readable.
   PLDP_HOT bool ReceiveAvailable() PLDP_REQUIRES(worker_role_);
-  /// Releases every safe buffered event to the engine, in key order.
-  /// When `force` (only after the producers are joined), gating by lane
-  /// bounds is skipped and everything buffered is released.
+  /// Releases every safe head to the engine, in key order. When `force`
+  /// (only after the producers are joined), gating by lane bounds is
+  /// skipped and everything readable is released.
   PLDP_HOT bool MergePass(bool force) PLDP_REQUIRES(worker_role_);
   void PublishSafeBound() PLDP_REQUIRES(worker_role_);
 
   const size_t index_;
-  /// Sum of the input lanes' credit budgets (constant after construction).
+  /// Summed capacity of the input lanes (constant after construction).
   const size_t reorder_capacity_;
   /// Worker-thread confinement of the merge state: the orchestrator holds
   /// the role from construction until Start() launches the worker, the
   /// worker holds it for the thread's lifetime, and Stop() takes it back
   /// after the join to absorb leftovers. Zero-size, zero-cost — exists so
-  /// the thread-safety analysis can prove the reorder buffers are never
-  /// touched concurrently.
+  /// the thread-safety analysis can prove the lane state is never touched
+  /// concurrently.
   ThreadRole worker_role_;
+  /// The input lanes, frozen at construction: read from any thread for
+  /// gauges and by the park predicate.
+  const std::vector<ExchangeLane*> inputs_;
   std::vector<LaneState> lanes_ PLDP_GUARDED_BY(worker_role_);
   /// Wake-on-work doorbell the idle worker parks on; every input lane's
   /// queue rings it on push and on a frontier advance, Stop() rings it
@@ -215,12 +220,10 @@ class MergeShard {
   /// Merge frontier: everything with primary < safe_primary_ is done.
   /// Published with release after the engine absorbed the events.
   Atomic<uint64_t> safe_primary_{0};
+  /// The worker's copy of its last safe_primary_ store.
+  uint64_t published_safe_ PLDP_GUARDED_BY(worker_role_) = 0;
   Atomic<uint64_t> merged_{0};
   Atomic<uint64_t> detections_{0};
-  /// Events sitting in reorder buffers (receive increments, release
-  /// decrements) — kept as an atomic so scrape threads never touch the
-  /// worker-local ring buffers.
-  Atomic<uint64_t> buffered_{0};
 
   // Telemetry bundle and optional user callback, fixed before Start.
   obs::MergeInstruments obs_;

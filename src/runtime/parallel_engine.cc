@@ -8,7 +8,9 @@
 #include <thread>
 #include <utility>
 
+#include "common/logging.h"
 #include "runtime/affinity.h"
+#include "runtime/backoff.h"
 
 namespace pldp {
 namespace {
@@ -35,10 +37,11 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
 
   shards_.reserve(n);
   staging_.resize(n);
+  refused_.resize(n, 0);
   // Pre-size the per-shard staging buffers so steady-state batched ingest
   // never grows them: a batch can stage at most its own size per shard, and
   // capacity is retained across OnEventBatch calls (clear() keeps it).
-  for (auto& buf : staging_) buf.reserve(options.queue_capacity);
+  for (Share& share : staging_) share.events.reserve(options.queue_capacity);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, options.queue_capacity));
     if (options.sink_factory) {
@@ -90,8 +93,7 @@ StatusOr<size_t> ParallelStreamingEngine::GetOrCreateGroup(
   ExchangeGroup group;
   group.key_id = key_id;
   group.fabric = std::make_unique<ExchangeFabric>(
-      n1, n2, exchange_options_.lane_capacity,
-      exchange_options_.reorder_capacity);
+      n1, n2, exchange_options_.lane_capacity);
   group.merge_shards.reserve(n2);
   for (size_t c = 0; c < n2; ++c) {
     group.merge_shards.push_back(
@@ -187,7 +189,6 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
   lane_depth_gauges_.assign(groups_.size(), {});
   merge_reorder_gauges_.assign(groups_.size(), {});
   merge_lag_gauges_.assign(groups_.size(), {});
-  merge_capacity_gauges_.assign(groups_.size(), {});
   for (size_t g = 0; g < groups_.size(); ++g) {
     const ExchangeGroup& group = groups_[g];
     const std::string& group_label = group.key_id;
@@ -210,29 +211,22 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
           "Full-lane waits a producer spent emitting downstream",
           {{"lane", lane}, {"group", group_label},
            {"producer", producer_label}});
-      ins.credit_exhausted_waits = registry->AddCounter(
-          "pldp_exchange_credit_exhausted_waits_total",
-          "Credit-exhausted stalls a producer spent waiting on a merge shard",
-          {{"lane", lane}, {"group", group_label},
-           {"producer", producer_label}});
       lane_depth_gauges_[g][p] = registry->AddGauge(
           "pldp_exchange_lane_depth",
           "Instantaneous occupancy of a producer's exchange row",
           {{"lane", lane}, {"group", group_label},
            {"producer", producer_label}});
-      ins.lane_depth = lane_depth_gauges_[g][p];
       // Shard emitter index g is groups_[g]'s emitter (see header invariant).
       shards_[p]->exchange_emitter(g)->SetInstruments(ins);
     }
     merge_reorder_gauges_[g].resize(group.merge_shards.size(), nullptr);
     merge_lag_gauges_[g].resize(group.merge_shards.size(), nullptr);
-    merge_capacity_gauges_[g].resize(group.merge_shards.size(), nullptr);
     for (size_t c = 0; c < group.merge_shards.size(); ++c) {
       const std::string shard_label = std::to_string(c);
       obs::MergeInstruments ins;
       ins.events_received = registry->AddCounter(
           "pldp_merge_events_received_total",
-          "Events a merge shard popped from its exchange lanes",
+          "Events that became readable on a merge shard's exchange lanes",
           {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
       ins.events_merged = registry->AddCounter(
           "pldp_merge_events_total",
@@ -252,21 +246,22 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
           {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
       merge_reorder_gauges_[g][c] = registry->AddGauge(
           "pldp_merge_reorder_depth",
-          "Instantaneous reorder-buffer occupancy of a merge shard",
+          "Instantaneous reorder depth of a merge shard (summed occupancy "
+          "of its input lanes)",
           {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.reorder_depth = merge_reorder_gauges_[g][c];
       merge_lag_gauges_[g][c] = registry->AddGauge(
           "pldp_merge_watermark_lag",
           "Ingest frontier minus a merge shard's safe watermark (events)",
           {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.watermark_lag = merge_lag_gauges_[g][c];
-      merge_capacity_gauges_[g][c] = registry->AddGauge(
-          "pldp_merge_reorder_capacity",
-          "Hard reorder-buffer bound of a merge shard (sum of lane credits)",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.reorder_capacity = merge_capacity_gauges_[g][c];
-      merge_capacity_gauges_[g][c]->Set(
-          static_cast<double>(group.merge_shards[c]->reorder_capacity()));
+      // Constant: set once here, never refreshed.
+      registry
+          ->AddGauge("pldp_merge_reorder_capacity",
+                     "Hard reorder-depth bound of a merge shard (summed "
+                     "capacity of its input lanes)",
+                     {{"lane", lane},
+                      {"group", group_label},
+                      {"shard", shard_label}})
+          ->Set(static_cast<double>(group.merge_shards[c]->reorder_capacity()));
       PLDP_RETURN_IF_ERROR(group.merge_shards[c]->SetInstruments(ins));
     }
   }
@@ -300,10 +295,6 @@ void ParallelStreamingEngine::RefreshMetricGauges() {
         merge_lag_gauges_[g][c]->Set(
             safe >= frontier ? 0.0
                              : static_cast<double>(frontier - safe));
-      }
-      if (merge_capacity_gauges_[g][c] != nullptr) {
-        merge_capacity_gauges_[g][c]->Set(
-            static_cast<double>(merge.reorder_capacity()));
       }
     }
   }
@@ -473,13 +464,11 @@ Status ParallelStreamingEngine::Drain() {
   if (admission_ != nullptr) {
     // Parked events are part of the ingested stream; the barrier is only a
     // barrier once they have landed in their shard queues.
-    PLDP_RETURN_IF_ERROR(admission_->FlushBlocking());
+    ingest_role_.Assert();
+    PLDP_RETURN_IF_ERROR(PushAll());
   }
   const uint64_t bound = IngestFrontier();
-  for (auto& shard : shards_) {
-    Status s = shard->Drain();
-    if (!s.ok()) return s;
-  }
+  PLDP_RETURN_IF_ERROR(DrainStageOne(bound));
   if (!groups_.empty()) {
     // Two-phase barrier: every producer raises its frontier, asserting it
     // forwarded everything below `bound` it will ever see (one command
@@ -496,6 +485,18 @@ Status ParallelStreamingEngine::Drain() {
         if (!s.ok()) return s;
       }
     }
+  }
+  return Status::OK();
+}
+
+Status ParallelStreamingEngine::DrainStageOne(uint64_t bound) {
+  // Publish first: a shard may be blocked on a full lane whose merge waits
+  // for an idle peer's frontier, and the peer learns how far the stream
+  // has got only from the floor. Like the frontier flush that follows, the
+  // floor inherits Drain's best-effort semantics under a racing producer.
+  PublishProducerFloor(bound);
+  for (auto& shard : shards_) {
+    PLDP_RETURN_IF_ERROR(shard->Drain());
   }
   return Status::OK();
 }
@@ -519,18 +520,17 @@ Status ParallelStreamingEngine::Finish() {
 
 Status ParallelStreamingEngine::FinishInternal() {
   if (admission_ != nullptr) {
-    PLDP_RETURN_IF_ERROR(admission_->FlushBlocking());
+    ingest_role_.Assert();
+    PLDP_RETURN_IF_ERROR(PushAll());
   }
   const uint64_t bound = IngestFrontier();
-  for (auto& shard : shards_) {
-    PLDP_RETURN_IF_ERROR(shard->Drain());
-  }
+  PLDP_RETURN_IF_ERROR(DrainStageOne(bound));
   // Post the finish command to EVERY shard before waiting on ANY ack.
-  // Finalize-time emissions run against bounded credit budgets: shard A's
-  // sink output may only become releasable — and its credits returnable —
-  // once shard B has run its own finish and raised its frontier past A's
-  // finalize primaries. Waiting for A's ack
-  // before posting to B would deadlock under small reorder capacities.
+  // Finalize-time emissions run into bounded lanes: shard A's sink output
+  // may only become releasable — and its lane slots free — once shard B
+  // has run its own finish and raised its frontier past A's finalize
+  // primaries. Waiting for A's ack before posting to B would deadlock
+  // under small lane capacities.
   std::vector<uint64_t> tokens;
   tokens.reserve(shards_.size());
   for (auto& shard : shards_) {
@@ -554,7 +554,8 @@ Status ParallelStreamingEngine::Stop() {
   if (admission_ != nullptr) {
     // Land parked events before the shards go away; a shard racing into
     // stop makes this fail fast, which is the best Stop can do.
-    Status s = admission_->FlushBlocking();
+    ingest_role_.Assert();
+    Status s = PushAll();
     if (result.ok() && !s.ok()) result = s;
   }
   // order: relaxed; see the Start() rationale on the finished_ latch.
@@ -606,10 +607,17 @@ Status ParallelStreamingEngine::OnEvent(const Event& event) {
     // Queue full turns into park-or-shed instead of blocking; admitted
     // events are counted (via the shared counter) only when they land.
     (void)admission_->Offer(target, std::move(stamped));
-  } else {
-    PLDP_RETURN_IF_ERROR(shards_[target]->PushStampedN(&stamped, 1));
+  } else if (shards_[target]->TryPushStampedN(&stamped, 1) == 1) {
     // order: relaxed; standalone telemetry counter.
     events_ingested_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Queue full (or the shard stopping): the shared wait loop.
+    for (Share& share : staging_) {
+      share.events.clear();
+      share.pushed = 0;
+    }
+    staging_[target].events.push_back(std::move(stamped));
+    PLDP_RETURN_IF_ERROR(PushAll());
   }
   // Periodically tell every shard how far the stream has advanced, so
   // shards starved by routing skew keep raising their frontiers (see
@@ -649,30 +657,96 @@ Status ParallelStreamingEngine::OnEventBatch(EventSpan events) {
     PublishProducerFloor(next_seq_.load(std::memory_order_relaxed));
     return Status::OK();
   }
-  for (auto& buf : staging_) buf.clear();
+  for (Share& share : staging_) {
+    share.events.clear();
+    share.pushed = 0;
+  }
   for (const Event& e : events) {
     StampedEvent stamped;
     // order: relaxed; ticket uniqueness only (see OnEvent).
     stamped.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     stamped.event = e;
-    staging_[router_.ShardOf(e)].push_back(std::move(stamped));
+    staging_[router_.ShardOf(e)].events.push_back(std::move(stamped));
   }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (staging_[i].empty()) continue;
-    // Count exactly what each queue accepted: on a failed push (e.g.
-    // racing Stop) events_ingested_ must still reconcile with the
-    // per-shard pushed/processed counters.
-    size_t accepted = 0;
-    const Status s = shards_[i]->PushStampedN(staging_[i].data(),
-                                              staging_[i].size(), &accepted);
-    // order: relaxed; standalone telemetry counter.
-    events_ingested_.fetch_add(accepted, std::memory_order_relaxed);
-    PLDP_RETURN_IF_ERROR(s);
-  }
+  PLDP_RETURN_IF_ERROR(PushAll());
   // Every staged event is now pushed; the whole batch is a safe floor.
   // order: relaxed; same-thread read (see the single-event path).
   PublishProducerFloor(next_seq_.load(std::memory_order_relaxed));
   return Status::OK();
+}
+
+uint64_t ParallelStreamingEngine::PushRound(bool* progress) {
+  *progress = false;
+  uint64_t floor = kExchangeSeqEnd;
+  if (admission_ != nullptr) {
+    const size_t parked = admission_->pending_total();
+    admission_->Pump();
+    *progress = admission_->pending_total() < parked;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      refused_[i] = admission_->parked(i) ? 1 : 0;
+    }
+    return admission_->pending_total() == 0
+               ? kExchangeSeqEnd
+               : admission_->ClampFloor(kExchangeSeqEnd);
+  }
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Share& share = staging_[i];
+    refused_[i] = 0;
+    if (share.pushed == share.events.size()) continue;
+    const size_t n = shards_[i]->TryPushStampedN(
+        share.events.data() + share.pushed,
+        share.events.size() - share.pushed);
+    // order: relaxed; standalone telemetry counter. Counting exactly what
+    // each queue accepted keeps events_ingested_ reconciled with the
+    // per-shard counters even when a push fails on a racing Stop.
+    events_ingested_.fetch_add(n, std::memory_order_relaxed);
+    share.pushed += n;
+    if (n > 0) *progress = true;
+    if (share.pushed < share.events.size()) {
+      refused_[i] = 1;
+      const uint64_t lowest = share.events[share.pushed].seq;
+      if (lowest < floor) floor = lowest;
+    }
+  }
+  return floor;
+}
+
+Status ParallelStreamingEngine::PushAll() {
+  // Liveness rule: whoever waits on a full queue first publishes how far it
+  // has got. Shares are pushed non-blockingly and round-robin, so no shard
+  // waits while lower sequence numbers sit unpushed for another; the
+  // producer floor published before each wait lets idle shards raise
+  // their exchange frontiers past everything pushed, which is what lets a
+  // gated merge free the lane a full shard is blocked on (see
+  // docs/ARCHITECTURE.md, "Flow control and liveness").
+  Backoff backoff;
+  bool waiting = false;
+  for (;;) {
+    bool progress = false;
+    const uint64_t floor = PushRound(&progress);
+    if (floor == kExchangeSeqEnd) return Status::OK();
+    if (progress) {
+      waiting = false;
+      backoff.Reset();
+      continue;
+    }
+    if (!waiting) {
+      // A new wait episode: the floor only moves when a push lands.
+      waiting = true;
+      PublishProducerFloor(floor);
+      for (size_t i = 0; i < shards_.size(); ++i) {
+        if (refused_[i] != 0) shards_[i]->NoteBackpressureWait();
+      }
+    }
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (refused_[i] != 0 && !shards_[i]->accepting()) {
+        PLDP_LOG(Warning) << "shard " << i
+                          << ": push after stop, ingest rejected";
+        return Status::FailedPrecondition("push after shard stop");
+      }
+    }
+    backoff.Wait();
+  }
 }
 
 void ParallelStreamingEngine::PublishProducerFloor(uint64_t floor) {

@@ -84,13 +84,11 @@ namespace pldp {
 struct RuntimeExchangeOptions {
   /// Stage-2 merge shards per lane-group. 0 = as many as stage-1 shards.
   size_t shard_count = 0;
-  /// Capacity of each exchange lane (rounded up to a power of two).
+  /// Capacity of each exchange lane (rounded up to a power of two). The
+  /// lane is also the merge shard's reorder buffer for that producer, so
+  /// this bounds both the events in flight per lane and a merge shard's
+  /// reorder depth (N1 × this value; runtime/merge_shard.h).
   size_t lane_capacity = 1024;
-  /// Per-lane flow-control credit budget: a hard bound on how many events
-  /// one producer may have buffered in one merge shard's reorder buffer
-  /// (runtime/exchange.h). 0 = kDefaultExchangeReorderCapacity. A merge
-  /// shard's total reorder memory is bounded by N1 × this value.
-  size_t reorder_capacity = 0;
 };
 
 /// Construction-time knobs of the runtime.
@@ -212,7 +210,9 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// Bulk ingest: partitions the span into per-shard staging buffers and
   /// bulk-pushes each (one queue release store per shard burst instead of
   /// one per event). Equivalent to calling OnEvent on each event, several
-  /// times cheaper on the router thread.
+  /// times cheaper on the router thread. Shares that do not fit are pushed
+  /// round-robin as the queues drain, so a batch of any size cannot wedge
+  /// one shard behind another's unpushed events.
   Status OnEventBatch(EventSpan events) override;
 
   /// Drains, so DetectionsOf/stats are consistent the moment
@@ -310,9 +310,17 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// OnEvent/OnEventBatch/OnEnd), asserted at those entry points, ties the
   /// staging buffers to that thread.
   ThreadRole ingest_role_;
-  /// Per-shard staging buffers reused across OnEventBatch calls.
-  std::vector<std::vector<StampedEvent>> staging_
-      PLDP_GUARDED_BY(ingest_role_);
+  /// One shard's share of the events being ingested, and how much of it
+  /// its queue has taken so far.
+  struct Share {
+    std::vector<StampedEvent> events;
+    size_t pushed = 0;
+  };
+  /// Per-shard shares, reused across ingest calls.
+  std::vector<Share> staging_ PLDP_GUARDED_BY(ingest_role_);
+  /// Per-shard flag of the last push round: the shard's queue refused
+  /// part of its share (or, under admission, still holds parked events).
+  std::vector<char> refused_ PLDP_GUARDED_BY(ingest_role_);
   size_t query_count_ = 0;
   /// Global cross-query index -> (lane-group, group-local index).
   std::vector<std::pair<size_t, size_t>> cross_index_;
@@ -337,7 +345,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   std::vector<std::vector<obs::Gauge*>> lane_depth_gauges_;    // [grp][prod]
   std::vector<std::vector<obs::Gauge*>> merge_reorder_gauges_;  // [grp][cons]
   std::vector<std::vector<obs::Gauge*>> merge_lag_gauges_;      // [grp][cons]
-  std::vector<std::vector<obs::Gauge*>> merge_capacity_gauges_;  // [grp][cons]
 
   // Per-query user detection callbacks (set before Start; dispatched on
   // worker threads via one dispatcher per shard / merge shard).
@@ -345,6 +352,22 @@ class ParallelStreamingEngine : public StreamSubscriber {
   std::vector<std::function<void(Timestamp)>> cross_query_callbacks_;
 
   Status FinishInternal();
+  /// One non-blocking round over every shard's unpushed share (or, under
+  /// admission, the parked events). Returns the producer floor — the
+  /// lowest sequence number still unpushed, kExchangeSeqEnd when
+  /// everything landed — and sets `*progress` when any queue took
+  /// something.
+  uint64_t PushRound(bool* progress) PLDP_REQUIRES(ingest_role_);
+  /// The one place ingest waits on full shard queues: runs push rounds
+  /// until everything landed, waiting only after a round in which no
+  /// shard took anything, and publishing the producer floor before it
+  /// waits. Fails fast when a shard stops.
+  Status PushAll() PLDP_REQUIRES(ingest_role_);
+  /// Stage-1 half of the drain barrier: publishes `bound` as the producer
+  /// floor (a shard blocked on a full lane may need an idle peer's
+  /// frontier to move), then waits until every shard processed what it
+  /// was pushed.
+  Status DrainStageOne(uint64_t bound);
   void PublishProducerFloor(uint64_t floor);
   void InstallCallbackDispatchers();
   /// Snapshot of the ingest frontier: every stamped sequence number is

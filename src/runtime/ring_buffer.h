@@ -2,14 +2,13 @@
 //
 // A single-threaded growable FIFO over a power-of-two ring.
 //
-// The merge shards' reorder buffers used to be std::deque, whose block
-// allocation pattern costs roughly one heap allocation per few buffered
-// exchange items (each block holds only a handful of Event-sized slots) —
-// measured at ~0.34 allocations per event on the exchange workload. This
-// ring grows geometrically and never releases capacity, so the steady
-// state pays zero allocations: pushes and pops are index arithmetic.
-// Single-threaded by design (one merge worker owns each buffer); the
-// concurrent counterpart is runtime/spsc_queue.h.
+// It grows geometrically and never releases capacity, so once it has
+// reached its working size pushes and pops are index arithmetic and
+// allocate nothing — unlike std::deque, whose blocks of a few Event-sized
+// slots cost roughly one heap allocation per few items. The admission
+// layer's per-shard pending FIFOs (runtime/admission.h) use it.
+// Single-threaded by design; the concurrent counterpart is
+// runtime/spsc_queue.h.
 
 #ifndef PLDP_RUNTIME_RING_BUFFER_H_
 #define PLDP_RUNTIME_RING_BUFFER_H_
@@ -18,39 +17,24 @@
 #include <utility>
 #include <vector>
 
-#include "common/atomic.h"
-
 namespace pldp {
 
 template <typename T>
 class RingBuffer {
  public:
   /// Initial capacity is deferred to the first push (an empty buffer costs
-  /// nothing — most lanes of a skewed exchange stay empty).
+  /// nothing — most pending FIFOs never park an event).
   RingBuffer() = default;
 
   bool empty() const { return head_ == tail_; }
   size_t size() const { return tail_ - head_; }
   size_t capacity() const { return slots_.size(); }
 
-  /// Optional hard occupancy cap (0 = unlimited, the default). Exceeding
-  /// it is a caller bug, checked by PLDP_PROTOCOL_ASSERT: the merge
-  /// shards set it to their lane's credit budget, under which the producer
-  /// can never have more items in flight than the limit — the assert is
-  /// the defense-in-depth proof that the credit accounting holds. Under
-  /// PLDP_MODEL_CHECK the model checker explores every consume/return
-  /// interleaving against it (tests/check/check_credits_test.cc); its
-  /// negative twin (PLDP_CHECK_NEGATIVE_CREDITS, which returns the credit
-  /// at receipt instead of at release) trips exactly this assert.
-  void set_capacity_limit(size_t limit) { capacity_limit_ = limit; }
-  size_t capacity_limit() const { return capacity_limit_; }
-
   /// The oldest element; undefined when empty.
   T& front() { return slots_[head_ & mask_]; }
   const T& front() const { return slots_[head_ & mask_]; }
 
   void push_back(T value) {
-    PLDP_PROTOCOL_ASSERT(capacity_limit_ == 0 || size() < capacity_limit_);
     if (size() == slots_.size()) Grow();
     slots_[tail_ & mask_] = std::move(value);
     ++tail_;
@@ -67,23 +51,10 @@ class RingBuffer {
     while (!empty()) pop_front();
   }
 
-  /// Grows capacity to the next power of two >= `n` up front (contents
-  /// preserved; no-op when already that large). Callers that know their
-  /// occupancy bound — the merge shards' per-lane credit budget — reserve
-  /// at wiring time so the steady state never pays a growth allocation.
-  void reserve(size_t n) {
-    if (n <= slots_.size()) return;
-    size_t target = slots_.size() == 0 ? kInitialCapacity : slots_.size();
-    while (target < n) target *= 2;
-    GrowTo(target);
-  }
-
  private:
   void Grow() {
-    GrowTo(slots_.size() == 0 ? kInitialCapacity : slots_.size() * 2);
-  }
-
-  void GrowTo(size_t new_capacity) {
+    const size_t new_capacity =
+        slots_.size() == 0 ? kInitialCapacity : slots_.size() * 2;
     std::vector<T> grown(new_capacity);
     const size_t count = size();
     for (size_t i = 0; i < count; ++i) {
@@ -97,7 +68,6 @@ class RingBuffer {
 
   static constexpr size_t kInitialCapacity = 16;
 
-  size_t capacity_limit_ = 0;
   std::vector<T> slots_;
   size_t mask_ = 0;
   /// Monotone indices; position = index & mask_. head_ == tail_ means

@@ -4,7 +4,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "runtime/affinity.h"
 #include "runtime/backoff.h"
 
@@ -92,6 +91,10 @@ Status Shard::AddExchange(std::unique_ptr<ExchangeEmitter> emitter) {
   MutexLock lock(reg_mu_);
   emitters_.push_back(std::move(emitter));
   if (sink_ != nullptr) sink_->AttachExchangeEmitter(emitters_.back().get());
+  std::vector<ExchangeEmitter*> rows;
+  rows.reserve(emitters_.size());
+  for (const auto& e : emitters_) rows.push_back(e.get());
+  for (const auto& e : emitters_) e->SetShardRows(rows);
   return Status::OK();
 }
 
@@ -122,65 +125,17 @@ Status Shard::Start() {
   return Status::OK();
 }
 
-Status Shard::PushStampedN(StampedEvent* events, size_t count,
-                           size_t* accepted) {
-  if (accepted != nullptr) *accepted = 0;
-  // order: relaxed; advisory guard — a racing Stop is caught by the
-  // fail-fast stop_requested_ check inside the push loop.
-  if (!running_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("shard not running");
-  }
-  Backoff backoff;
-  bool waited = false;
-  size_t done = 0;
-  while (done < count) {
-    // Fail fast instead of spinning forever when the worker is gone (a
-    // Push racing Stop(), or a producer outliving the shard's shutdown).
-    // Events enqueued before the cutoff still count as pushed; Stop()
-    // processes any queue leftovers after joining the worker, so Drain
-    // stays consistent even if the worker missed them.
-    // order: relaxed; fail-fast hint — Stop()'s post-join leftover pass
-    // makes the cutoff exact regardless of what this load observes.
-    if (stop_requested_.load(std::memory_order_relaxed)) {
-      // order: relaxed; Drain reads pushed_ from the producer thread.
-      if (done > 0) pushed_.fetch_add(done, std::memory_order_relaxed);
-      if (accepted != nullptr) *accepted = done;
-      PLDP_LOG(Warning) << "shard " << index_ << ": push after stop, "
-                        << (count - done) << " of " << count
-                        << " events rejected";
-      return Status::FailedPrecondition("push after shard stop");
-    }
-    const size_t n = queue_.TryPushN(events + done, count - done);
-    if (n == 0) {
-      waited = true;
-      backoff.Wait();
-    } else {
-      done += n;
-      backoff.Reset();
-    }
-  }
-  if (waited) {
-    // order: relaxed; telemetry only.
-    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.backpressure_waits) obs_.backpressure_waits->Inc();
-  }
+size_t Shard::TryPushStampedN(StampedEvent* events, size_t count) {
+  // Fail fast instead of filling a queue whose worker is gone (a push
+  // racing Stop(), or a producer outliving the shard's shutdown). Events
+  // enqueued before the cutoff still count as pushed; Stop() processes any
+  // queue leftovers after joining the worker, so Drain stays consistent
+  // even if the worker missed them.
+  if (!accepting()) return 0;
+  const size_t n = queue_.TryPushN(events, count);
   // order: relaxed; Drain reads it from the producer thread itself (or
   // under an external happens-before), and the queue push above already
   // published the events with release.
-  pushed_.fetch_add(count, std::memory_order_relaxed);
-  if (accepted != nullptr) *accepted = count;
-  return Status::OK();
-}
-
-size_t Shard::TryPushStampedN(StampedEvent* events, size_t count) {
-  // order: relaxed on both flags; advisory fail-fast guards (see
-  // PushStampedN).
-  if (!running_.load(std::memory_order_relaxed) ||
-      stop_requested_.load(std::memory_order_relaxed)) {
-    return 0;
-  }
-  const size_t n = queue_.TryPushN(events, count);
-  // order: relaxed; same contract as PushStampedN's pushed_ update.
   if (n > 0) pushed_.fetch_add(n, std::memory_order_relaxed);
   return n;
 }

@@ -25,8 +25,8 @@
 //
 // Threading contract:
 //   - Exactly one thread (the router / ParallelStreamingEngine caller) may
-//     call PushStampedN / TryPushStampedN at a time; the worker thread is
-//     the only consumer.
+//     call TryPushStampedN at a time; the worker thread is the only
+//     consumer.
 //   - AddQuery / SetEventSink / AddExchange must happen before Start. Start
 //     and Stop must not race each other or a pushing producer (they manage
 //     the worker thread), but a push racing a Stop fails fast instead of
@@ -87,6 +87,9 @@ struct ShardStats {
   /// how often a producer's ring took the slow notify path.
   size_t parks = 0;
   size_t wakes = 0;
+  /// Merge shards only: the published safe primary (see
+  /// MergeShard::safe_primary) — where a stuck barrier is waiting.
+  uint64_t safe_primary = 0;
 };
 
 /// A queued event plus its global ingest sequence number — the exchange
@@ -155,39 +158,50 @@ class Shard {
 
   /// Wires this shard into one more exchange fabric (one lane-group). The
   /// worker forwards every processed event through it unless the shard has
-  /// a sink (see the file comment). May be called once per lane-group;
-  /// must precede Start().
+  /// a sink (see the file comment). Every emitter of the shard learns its
+  /// siblings, so a full-lane wait in one lane-group raises the frontiers
+  /// of all of them. May be called once per lane-group; must precede
+  /// Start().
   Status AddExchange(std::unique_ptr<ExchangeEmitter> emitter)
       PLDP_EXCLUDES(reg_mu_);
 
   /// Launches the worker thread. Returns FailedPrecondition if running.
   Status Start();
 
-  /// Bulk enqueue: moves `count` pre-stamped events out of `events` into
-  /// the queue, blocking (spin + yield) while it is full. Sequence numbers
-  /// must be strictly increasing across all pushes to this shard. Producer
-  /// thread only; requires a running worker — fails fast with
-  /// FailedPrecondition when the shard is stopped or stopping, instead of
-  /// spinning forever on a queue nobody drains. One release store per
-  /// queue burst. When `accepted` is non-null it receives the number of
-  /// events actually enqueued (== count on success, possibly fewer when
-  /// failing fast on a stop).
-  Status PushStampedN(StampedEvent* events, size_t count,
-                      size_t* accepted = nullptr);
-
-  /// Non-blocking variant: enqueues as many leading events as the queue
-  /// has room for and returns that number (0 when full, stopped, or not
-  /// running — never waits). Same producer contract and stamping rules as
-  /// PushStampedN; the admission/shedding layer (runtime/admission.h) is
-  /// built on it.
+  /// Bulk non-blocking enqueue: moves as many leading pre-stamped events
+  /// as the queue has room for (one release store for all of them) and
+  /// returns that number — 0 when full, stopped, or not running; never
+  /// waits. Sequence numbers must be strictly increasing across all pushes
+  /// to this shard. Producer thread only. The ingest wait loop
+  /// (ParallelStreamingEngine) and the admission layer
+  /// (runtime/admission.h) are built on it.
   size_t TryPushStampedN(StampedEvent* events, size_t count);
+
+  /// False once the shard is stopped or stopping: a producer waiting on
+  /// this queue must fail fast instead of spinning on a queue nobody
+  /// drains.
+  bool accepting() const {
+    // order: relaxed on both flags; advisory fail-fast guards — Stop()'s
+    // post-join leftover pass makes the cutoff exact.
+    return running_.load(std::memory_order_relaxed) &&
+           !stop_requested_.load(std::memory_order_relaxed);
+  }
+
+  /// Producer side: counts one wait episode on a full queue (the
+  /// backpressure_waits stat and its instrument).
+  void NoteBackpressureWait() {
+    // order: relaxed; telemetry only.
+    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+    if (obs_.backpressure_waits) obs_.backpressure_waits->Inc();
+  }
 
   /// Producer-side progress hint: every event with seq < `floor` has been
   /// pushed to its target shard already (this one or another). Lets a
   /// shard that receives little or no traffic raise idle frontiers that
   /// track the global stream instead of staying silent until the
   /// next drain barrier — without it, skewed routings buffer everything
-  /// downstream. Same caller as PushStampedN (the single ingest thread).
+  /// downstream. Same caller as TryPushStampedN (the single ingest
+  /// thread).
   void NoteProducerFloor(uint64_t floor) {
     // order: release so everything pushed before the floor claim is
     // visible to the worker's acquire load.
@@ -209,10 +223,10 @@ class Shard {
   /// acknowledgement token for WaitCommandAck: the sink's OnShardFinish
   /// runs (emitting any finalize-time output), then the exchange rows are
   /// closed with the terminal frontier. Call after Drain, with ingestion
-  /// stopped. Under bounded exchange credits one shard's finalize
-  /// emissions may only be releasable once every other shard has begun
-  /// its own finalize — so the orchestrator must post finish to ALL
-  /// shards before waiting on ANY (see ParallelStreamingEngine::Finish).
+  /// stopped. With bounded exchange lanes one shard's finalize emissions
+  /// may only be releasable once every other shard has begun its own
+  /// finalize — so the orchestrator must post finish to ALL shards before
+  /// waiting on ANY (see ParallelStreamingEngine::Finish).
   StatusOr<uint64_t> PostFinish(uint64_t finish_seq);
 
   /// Blocks until the worker acknowledged the posted command `token`.

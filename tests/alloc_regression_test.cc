@@ -225,10 +225,10 @@ EventStream MakeCrossStream(size_t num_events, bool full_alphabet,
 // contract as the plain pipeline: after warmup, batched ingest through a
 // 2x2 topology (2 stage-1 shards emitting over the lane matrix into 2
 // watermark-gated merge shards) stays allocation-free up to a small
-// drain-barrier allowance. This pins the merge-shard reorder-ring
-// pre-sizing: before the rings were pre-sized from the per-lane credit
-// budget, every reorder past the initial capacity grew a heap ring —
-// a per-event cost this assertion would catch immediately.
+// drain-barrier allowance. The merge reorders in place — each lane is its
+// reorder buffer, read where the events lie — so no reorder storage
+// exists to grow; a merge that copied events into a growable buffer again
+// would pay a per-event cost this assertion catches immediately.
 TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
   if (!bench::kAllocHookActive) {
     GTEST_SKIP() << "allocation hook inactive under sanitizers";
@@ -254,8 +254,8 @@ TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
   }
   ASSERT_TRUE(engine.Start().ok());
 
-  // Warmup: completions occur; queues, staging buffers, exchange lanes,
-  // and the merge reorder rings all reach steady-state capacity.
+  // Warmup: completions occur; queues, staging buffers and exchange lanes
+  // all reach steady-state capacity.
   const EventStream warmup = MakeCrossStream(40000, /*full_alphabet=*/true,
                                              /*ts_base=*/0, /*seed=*/17);
   ASSERT_TRUE(IngestBatched(engine, warmup).ok());

@@ -148,10 +148,12 @@ TEST(ParallelPrivateCrossTest, FixedSeedEquivalenceAtEveryShardCount) {
   ASSERT_GT(reference_total, 0u)
       << "degenerate test: the reference detected nothing";
 
-  // Reorder capacity 0 is the default budget; 1 starves every lane of
-  // credits, so finalize-time views (primary finish_seq + subject) cross
-  // the exchange one at a time on the credit slow path.
-  for (size_t reorder_capacity : {0u, 1u}) {
+  // The default lane capacity, and the smallest one (1 rounds up to 2):
+  // there every lane is full most of the time, so finalize-time views
+  // (primary finish_seq + subject) cross the exchange a slot at a time on
+  // the full-lane wait.
+  for (size_t lane_capacity : {RuntimeExchangeOptions{}.lane_capacity,
+                               size_t{1}}) {
     for (size_t shards : {1u, 2u, 4u}) {
       ParallelPrivateOptions options;
       options.shard_count = shards;
@@ -160,7 +162,7 @@ TEST(ParallelPrivateCrossTest, FixedSeedEquivalenceAtEveryShardCount) {
       // Global correlation key: all protected views meet on one merge
       // shard, the always-sound default for multi-type cross patterns.
       options.exchange.shard_count = shards;
-      options.exchange.reorder_capacity = reorder_capacity;
+      options.exchange.lane_capacity = lane_capacity;
       ParallelPrivateEngine parallel(options);
       RegisterSetup(parallel);
       for (auto& [pattern, window] : CrossQueries()) {
@@ -182,11 +184,11 @@ TEST(ParallelPrivateCrossTest, FixedSeedEquivalenceAtEveryShardCount) {
       ASSERT_EQ(parallel.cross_query_count(), reference.size());
       for (size_t q = 0; q < reference.size(); ++q) {
         EXPECT_EQ(parallel.CrossDetectionsOf(q).value(), reference[q])
-            << "shards=" << shards << " reorder_capacity=" << reorder_capacity
+            << "shards=" << shards << " lane_capacity=" << lane_capacity
             << " cross query=" << q;
       }
       EXPECT_EQ(parallel.total_cross_detections(), reference_total)
-          << "shards=" << shards << " reorder_capacity=" << reorder_capacity;
+          << "shards=" << shards << " lane_capacity=" << lane_capacity;
       ASSERT_TRUE(parallel.Stop().ok());
     }
   }

@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "api/pipeline_builder.h"
+#include "cep/correlation_key.h"
+#include "drain_deadline.h"
 #include "common/random.h"
 #include "quality/metrics.h"
 #include "runtime/admission.h"
@@ -40,6 +42,16 @@ constexpr Timestamp kWindow = 6;
 Pattern MakePattern(const char* name, std::vector<EventTypeId> elems,
                     DetectionMode mode) {
   return Pattern::Create(name, std::move(elems), mode).value();
+}
+
+/// Pumps until every parked event has landed (the shard runs, so each
+/// round frees room). The engine's drain barrier does the same in its
+/// ingest wait loop.
+void FlushAll(AdmissionQueue& admission) {
+  while (admission.pending_total() > 0) {
+    admission.Pump();
+    std::this_thread::yield();
+  }
 }
 
 StampedEvent Stamped(uint64_t seq, EventTypeId type, StreamId subject) {
@@ -94,7 +106,7 @@ TEST(AdmissionQueueTest, ShedOldestDropsOldestParkedEventDeterministically) {
   // Start the worker and flush: the surviving four (seqs 3..6) land, in
   // order, and the floor clamp lifts.
   ASSERT_TRUE(shard.Start().ok());
-  ASSERT_TRUE(admission.FlushBlocking().ok());
+  FlushAll(admission);
   EXPECT_EQ(admission.pending_total(), 0u);
   EXPECT_EQ(pushed.load(), 4u);
   EXPECT_EQ(admission.ClampFloor(100), 100u);
@@ -136,7 +148,7 @@ TEST(AdmissionQueueTest, ShedBySubjectQuarantinesOverflowingSubjects) {
   // Episode end: the pending buffers drain, the shed set clears, both
   // subjects are admitted again.
   ASSERT_TRUE(shard.Start().ok());
-  ASSERT_TRUE(admission.FlushBlocking().ok());
+  FlushAll(admission);
   EXPECT_EQ(admission.pending_total(), 0u);
   EXPECT_FALSE(admission.ShouldShedBeforeStamp(0, subject_a));
   EXPECT_FALSE(admission.ShouldShedBeforeStamp(0, subject_b));
@@ -160,7 +172,7 @@ TEST(AdmissionQueueTest, BlockPolicyParksWithoutCapAndShedsNothing) {
   EXPECT_EQ(admission.shed_total(), 0u);
 
   ASSERT_TRUE(shard.Start().ok());
-  ASSERT_TRUE(admission.FlushBlocking().ok());
+  FlushAll(admission);
   EXPECT_EQ(pushed.load(), 16u);
   ASSERT_TRUE(shard.Stop().ok());
 }
@@ -342,6 +354,57 @@ TEST(AdmissionEngineTest, StalledShardShedsAndAccountsForEveryEvent) {
   EXPECT_GT(stats.RecallLowerBound(), 0.0);
   EXPECT_EQ(engine.DetectionsOf(0).value().size(), 1u);
   ASSERT_TRUE(engine.Stop().ok());
+}
+
+// Liveness at minimal capacities with parking and an exchange. Parked
+// events of one shard may carry lower sequence numbers than the events
+// another shard's full lane is waiting to pass, so the barrier's flush must
+// not wait shard by shard: it lands parked events round-robin and
+// publishes the producer floor before each wait, like every ingest wait.
+TEST(AdmissionEngineTest, SheddingCrossQueryAtMinimalCapacitiesDrains) {
+  const EventStream stream = SubjectStream(16, 20000, /*seed=*/31);
+  for (OverloadPolicy policy :
+       {OverloadPolicy::kShedOldest, OverloadPolicy::kShedBySubject}) {
+    ParallelEngineOptions options;
+    options.shard_count = 3;
+    options.queue_capacity = 1;  // rounds up to the minimum, 2
+    options.exchange.shard_count = 1;
+    options.exchange.lane_capacity = 1;  // rounds up to the minimum, 2
+    options.overload.policy = policy;
+    options.overload.pending_capacity = 2;
+    ParallelStreamingEngine engine(options);
+    ASSERT_TRUE(
+        engine
+            .AddCrossQuery(
+                MakePattern("seq", {0, 1}, DetectionMode::kSequence),
+                kWindow, "global",
+                MakeCorrelationKeyFn(CorrelationKeySpec::Global()).value())
+            .ok());
+    ASSERT_TRUE(engine.Start().ok());
+    testing_util::IngestAndDrainWithin30s(
+        engine, [&stream](ParallelStreamingEngine& e) {
+          constexpr size_t kBatch = 1024;
+          const std::vector<Event>& events = stream.events();
+          for (size_t i = 0; i < events.size(); i += kBatch) {
+            const size_t n = std::min(kBatch, events.size() - i);
+            PLDP_RETURN_IF_ERROR(
+                e.OnEventBatch(EventSpan(events.data() + i, n)));
+          }
+          return Status::OK();
+        });
+    // Every admitted event crossed the exchange and was merged; the rest
+    // is counted as shed.
+    const SheddingStats stats = engine.shedding_stats();
+    EXPECT_EQ(stats.offered(), stream.size())
+        << "policy=" << OverloadPolicyName(policy);
+    size_t merged = 0;
+    for (const ShardStats& s : engine.CrossShardStatsSnapshot()) {
+      merged += s.events_processed;
+    }
+    EXPECT_EQ(merged, stats.admitted)
+        << "policy=" << OverloadPolicyName(policy);
+    ASSERT_TRUE(engine.Stop().ok());
+  }
 }
 
 // --- PipelineBuilder surface ----------------------------------------------

@@ -35,6 +35,17 @@ Pattern MakePattern(const char* name, std::vector<EventTypeId> elems,
   return Pattern::Create(name, std::move(elems), mode).value();
 }
 
+/// Pushes all `count` events through the shard's non-blocking push,
+/// yielding while the queue is full.
+void PushEvery(Shard& shard, StampedEvent* events, size_t count) {
+  size_t done = 0;
+  while (done < count) {
+    ASSERT_TRUE(shard.accepting());
+    done += shard.TryPushStampedN(events + done, count - done);
+    if (done < count) std::this_thread::yield();
+  }
+}
+
 /// A keyed synthetic stream: `subjects` data subjects interleaved on a
 /// global clock; subject k only ever emits types
 /// {k*kTypesPerSubject .. k*kTypesPerSubject + kTypesPerSubject - 1}, so
@@ -280,15 +291,18 @@ TEST(ShardTest, PushAfterStopFailsFastInsteadOfSpinning) {
                              /*window=*/10)
                   .ok());
   ASSERT_TRUE(shard.Start().ok());
+  EXPECT_TRUE(shard.accepting());
   StampedEvent first{0, Event(0, 1)};
-  ASSERT_TRUE(shard.PushStampedN(&first, 1).ok());
+  ASSERT_EQ(shard.TryPushStampedN(&first, 1), 1u);
   ASSERT_TRUE(shard.Stop().ok());
-  // If this spun on the dead worker's full queue the test would time out;
-  // the contract is an immediate FailedPrecondition.
+  // A stopped shard takes nothing and says so: a producer waiting on its
+  // queue (the engine's ingest wait loop) checks accepting() and fails
+  // fast instead of spinning on the dead worker's queue.
+  EXPECT_FALSE(shard.accepting());
   StampedEvent late{1, Event(1, 2)};
-  EXPECT_FALSE(shard.PushStampedN(&late, 1).ok());
+  EXPECT_EQ(shard.TryPushStampedN(&late, 1), 0u);
   StampedEvent batch[2] = {{2, Event(0, 3)}, {3, Event(1, 4)}};
-  EXPECT_FALSE(shard.PushStampedN(batch, 2).ok());
+  EXPECT_EQ(shard.TryPushStampedN(batch, 2), 0u);
   EXPECT_EQ(shard.stats().events_processed, 1u);
 }
 
@@ -299,14 +313,14 @@ TEST(ShardTest, BulkPushDeliversEverythingInOrder) {
                              /*window=*/10)
                   .ok());
   ASSERT_TRUE(shard.Start().ok());
-  // Larger than the queue: PushStampedN must chunk through backpressure.
+  // Larger than the queue: the producer chunks through backpressure.
   std::vector<StampedEvent> events;
   for (int i = 0; i < 1000; ++i) {
     events.push_back({static_cast<uint64_t>(i),
                       Event(static_cast<EventTypeId>(i % 2),
                             static_cast<Timestamp>(i))});
   }
-  ASSERT_TRUE(shard.PushStampedN(events.data(), events.size()).ok());
+  PushEvery(shard, events.data(), events.size());
   ASSERT_TRUE(shard.Drain().ok());
   EXPECT_EQ(shard.stats().events_processed, 1000u);
   // Alternating 0,1 within window 10 → the sequence completes repeatedly;
@@ -340,7 +354,7 @@ size_t RawEventsOnLane(bool with_sink, size_t n, ShardStats* stats) {
   for (uint64_t i = 0; i < n; ++i) {
     StampedEvent stamped{i, Event(static_cast<EventTypeId>(i % 2),
                                   static_cast<Timestamp>(i), /*stream=*/1)};
-    EXPECT_TRUE(shard.PushStampedN(&stamped, 1).ok());
+    PushEvery(shard, &stamped, 1);
   }
   EXPECT_TRUE(shard.Drain().ok());
   *stats = shard.stats();

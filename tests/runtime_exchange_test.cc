@@ -10,16 +10,21 @@
 // stream, for every (stage-1, stage-2) shard combination. The merge
 // releases events in exact ingest order, so the equality is positional,
 // not just multiset. Edge cases pinned here: empty stage-1 shards, all
-// keys hashing to one stage-2 shard (skew), zero-event streams, and drain
-// barriers with events still in flight on the exchange lanes.
+// keys hashing to one stage-2 shard (skew), zero-event streams, drain
+// barriers with events still in flight on the exchange lanes, and the
+// liveness of bounded lanes (a batch far larger than the queues, routing
+// skew and two lane-groups at the smallest lane capacity), each under a
+// deadline that turns a hang into a diagnosed failure.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "drain_deadline.h"
 #include "cep/correlation_key.h"
 #include "cep/streaming_engine.h"
 #include "common/random.h"
@@ -29,6 +34,8 @@
 
 namespace pldp {
 namespace {
+
+using testing_util::IngestAndDrainWithin30s;
 
 constexpr size_t kTypesPerGroup = 3;
 constexpr Timestamp kWindow = 6;
@@ -256,6 +263,115 @@ TEST(ExchangeEngineTest, SilentShardsDoNotStallMergeBetweenBarriers) {
   }
   EXPECT_GT(merged, 0u) << "merge made no progress without a drain barrier";
   ASSERT_TRUE(engine.Drain().ok());
+  ASSERT_TRUE(engine.Stop().ok());
+}
+
+// Liveness regression: one batch far larger than the shard queues, at
+// default options. The batch must not push shard by shard — a shard whose
+// share overfills its queue and lanes would wait while the lower sequence
+// numbers of the other shard's share sit unpushed, and the merge could
+// never pass that shard's stale frontier.
+TEST(ExchangeEngineTest, OversizedBatchAtDefaultOptionsDrains) {
+  constexpr size_t kGroups = 3;
+  const EventStream stream =
+      CrossSubjectStream(kGroups, /*subjects=*/64, 20000, /*seed=*/71);
+  const StreamingCepEngine reference = MakeReference(stream, kGroups);
+  ASSERT_GT(reference.total_detections(), 0u);
+
+  ParallelEngineOptions options;
+  options.shard_count = 2;
+  options.exchange.shard_count = 1;
+  ParallelStreamingEngine engine(options);
+  RegisterGroupQueries(
+      CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp")),
+      kGroups);
+  ASSERT_TRUE(engine.Start().ok());
+  IngestAndDrainWithin30s(engine, [&stream](ParallelStreamingEngine& e) {
+    return e.OnEventBatch(EventSpan(stream.events().data(), stream.size()));
+  });
+  for (size_t q = 0; q < engine.cross_query_count(); ++q) {
+    EXPECT_EQ(engine.CrossDetectionsOf(q).value(),
+              reference.DetectionsOf(q).value())
+        << "query=" << q;
+  }
+  ASSERT_TRUE(engine.Stop().ok());
+}
+
+// Liveness regression: all traffic on one of six stage-1 shards, per-event
+// ingest, lanes at their smallest capacity. The idle shards learn how far
+// the stream has got only from the producer floor, which the ingest thread
+// must publish before it waits on the busy shard's full queue.
+TEST(ExchangeEngineTest, SkewedPerEventIngestAtMinimalLanesDrains) {
+  constexpr size_t kGroups = 3;
+  const EventStream stream =
+      CrossSubjectStream(kGroups, /*subjects=*/1, 6000, /*seed=*/73);
+  const StreamingCepEngine reference = MakeReference(stream, kGroups);
+  ASSERT_GT(reference.total_detections(), 0u);
+
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/6, /*stage2=*/2);
+  options.exchange.lane_capacity = 1;  // rounds up to the minimum, 2
+  ParallelStreamingEngine engine(options);
+  RegisterGroupQueries(
+      CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp")),
+      kGroups);
+  ASSERT_TRUE(engine.Start().ok());
+  IngestAndDrainWithin30s(engine, [&stream](ParallelStreamingEngine& e) {
+    for (const Event& event : stream) PLDP_RETURN_IF_ERROR(e.OnEvent(event));
+    return Status::OK();
+  });
+  for (size_t q = 0; q < engine.cross_query_count(); ++q) {
+    EXPECT_EQ(engine.CrossDetectionsOf(q).value(),
+              reference.DetectionsOf(q).value())
+        << "query=" << q;
+  }
+  ASSERT_TRUE(engine.Stop().ok());
+}
+
+// Liveness regression: two correlation keys, so every stage-1 shard owns
+// two lane rows, at the smallest lane capacity. A shard blocked on a full
+// lane of one group must raise its frontier in the other group too, or two
+// shards blocked in different groups can each gate the other group's
+// merge.
+TEST(ExchangeEngineTest, TwoLaneGroupsAtMinimalLanesDrain) {
+  constexpr size_t kGroups = 3;
+  const EventStream stream =
+      CrossSubjectStream(kGroups, /*subjects=*/32, 20000, /*seed=*/79);
+  const Pattern watch =
+      MakePattern("watch", {0, 3, 6}, DetectionMode::kDisjunction);
+  StreamingCepEngine reference;
+  RegisterGroupQueries(
+      [&reference](Pattern p, Timestamp w) {
+        return reference.AddQuery(std::move(p), w);
+      },
+      kGroups);
+  ASSERT_TRUE(reference.AddQuery(watch, kWindow).ok());
+  for (const Event& e : stream) ASSERT_TRUE(reference.OnEvent(e).ok());
+  ASSERT_GT(reference.total_detections(), 0u);
+
+  ParallelEngineOptions options = ExchangeConfig(/*stage1=*/3, /*stage2=*/2);
+  options.exchange.lane_capacity = 1;  // rounds up to the minimum, 2
+  ParallelStreamingEngine engine(options);
+  RegisterGroupQueries(
+      CrossAdder(engine, CorrelationKeySpec::ByAttribute("grp")),
+      kGroups);
+  ShardKeyFn by_type =
+      MakeCorrelationKeyFn(CorrelationKeySpec::ByEventType()).value();
+  ASSERT_TRUE(engine.AddCrossQuery(watch, kWindow, "type", by_type).ok());
+  ASSERT_TRUE(engine.Start().ok());
+  IngestAndDrainWithin30s(engine, [&stream](ParallelStreamingEngine& e) {
+    constexpr size_t kBatch = 512;
+    for (size_t i = 0; i < stream.size(); i += kBatch) {
+      const size_t n = std::min(kBatch, stream.size() - i);
+      PLDP_RETURN_IF_ERROR(
+          e.OnEventBatch(EventSpan(stream.events().data() + i, n)));
+    }
+    return Status::OK();
+  });
+  for (size_t q = 0; q < engine.cross_query_count(); ++q) {
+    EXPECT_EQ(engine.CrossDetectionsOf(q).value(),
+              reference.DetectionsOf(q).value())
+        << "query=" << q;
+  }
   ASSERT_TRUE(engine.Stop().ok());
 }
 

@@ -1,18 +1,20 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Tests for the exchange credit protocol (runtime/exchange.h) and the
-// hard-bounded stage-2 reorder buffers (runtime/merge_shard.h) —
-// docs/ARCHITECTURE.md, "Credit-based flow control".
+// Tests for exchange flow control: each lane is its merge shard's reorder
+// buffer, so the lane capacity is the one bound on in-flight events
+// (runtime/exchange.h, runtime/merge_shard.h) — docs/ARCHITECTURE.md,
+// "Flow control and liveness".
 //
 // What is pinned here:
-//   - a lane's credit budget is exactly the consumer's reorder capacity:
-//     emitting the full budget never waits, one more does;
+//   - a lane's capacity is exactly the consumer's reorder capacity:
+//     emitting a full lane never waits, one more does, and a slot frees
+//     only when its event is released to the engine;
 //   - a stalled or absent consumer BACKPRESSURES its producers — the
 //     blocked producer spins allocation-free (alloc-hook-verified) with
-//     at most budget-many events in flight, instead of buffering without
-//     bound;
+//     at most a lane's worth of events in flight, instead of buffering
+//     without bound;
 //   - reorder saturation drives the /healthz degraded rule;
-//   - under permanent credit starvation (tiny budgets) the two-stage
+//   - at tiny lane capacities (permanent backpressure) the two-stage
 //     pipeline still drains, finishes, and produces detections positionally
 //     identical to a sequential engine — flow control changes latency,
 //     never results.
@@ -64,41 +66,40 @@ bool PollUntil(const std::function<bool()>& done,
   return done();
 }
 
-// --- Raw fabric: the credit budget is exact --------------------------------
+// --- Raw fabric: the lane capacity is exact --------------------------------
 
-TEST(FlowControlTest, CreditBudgetExactlyCoversTheReorderCapacity) {
+TEST(FlowControlTest, LaneCapacityIsExactlyTheReorderCapacity) {
   ExchangeFabric fabric(/*producers=*/1, /*consumers=*/1,
-                        /*lane_capacity=*/16, /*reorder_capacity=*/4);
+                        /*lane_capacity=*/4);
   MergeShard merge(0, fabric.Column(0));
   EXPECT_EQ(merge.reorder_capacity(), 4u);
   ExchangeEmitter emitter(fabric.Row(0), /*key_fn=*/nullptr, &fabric);
 
-  // Emitting exactly the budget consumes every credit without waiting —
-  // the reorder buffer can hold all of it.
+  // Emitting exactly the lane's capacity never waits — the lane holds all
+  // of it, and that occupancy is the merge's reorder depth.
   for (uint64_t seq = 0; seq < 4; ++seq) {
     emitter.BeginTrigger(seq);
     ASSERT_TRUE(emitter.Emit(Event(0, static_cast<Timestamp>(seq), 1)).ok());
   }
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(), 0u);
-  EXPECT_EQ(emitter.stats().credit_exhausted_waits, 0u);
+  EXPECT_EQ(emitter.stats().backpressure_waits, 0u);
   EXPECT_EQ(emitter.stats().forwarded, 4u);
+  EXPECT_EQ(merge.reorder_buffered(), 4u);
 
-  // The consumer releases everything and hands every credit back.
+  // The consumer releases everything, and every slot comes back.
   ASSERT_TRUE(merge.Start().ok());
   emitter.Broadcast(kExchangeSeqEnd);
   ASSERT_TRUE(merge.WaitSafe(kExchangeSeqEnd).ok());
   EXPECT_EQ(merge.stats().events_processed, 4u);
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(),
-            fabric.lane(0, 0).initial_credits);
+  EXPECT_EQ(merge.reorder_buffered(), 0u);
   ASSERT_TRUE(merge.Stop().ok());
 }
 
 TEST(FlowControlTest, AbsentConsumerBackpressuresTheProducerBoundedly) {
-  // No merge shard at all: nobody ever returns a credit. The producer must
-  // stop after the budget — blocked, bounded, and allocation-free — and
-  // fail fast once the fabric aborts.
+  // No merge shard at all: nobody ever frees a slot. The producer must
+  // stop after the lane's capacity — blocked, bounded, and
+  // allocation-free — and fail fast once the fabric aborts.
   ExchangeFabric fabric(/*producers=*/1, /*consumers=*/1,
-                        /*lane_capacity=*/64, /*reorder_capacity=*/4);
+                        /*lane_capacity=*/4);
   ExchangeEmitter emitter(fabric.Row(0), /*key_fn=*/nullptr, &fabric);
 
   std::atomic<size_t> emitted{0};
@@ -116,22 +117,21 @@ TEST(FlowControlTest, AbsentConsumerBackpressuresTheProducerBoundedly) {
   });
 
   ASSERT_TRUE(PollUntil(
-      [&] { return emitter.stats().credit_exhausted_waits >= 1; }))
-      << "producer never hit the credit wall";
+      [&] { return emitter.stats().backpressure_waits >= 1; }))
+      << "producer never hit the full lane";
   EXPECT_EQ(emitted.load(), 4u);
-  // In flight: exactly the 4 budgeted events — the frontier the blocked
+  // In flight: exactly the lane's 4 events — the frontier the blocked
   // producer raised before spinning takes no lane slot.
-  EXPECT_LE(fabric.lane(0, 0).queue.ApproxSize(), 4u);
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(), 0u);
+  EXPECT_EQ(fabric.lane(0, 0).queue.ApproxSize(), 4u);
 
   if (bench::kAllocHookActive) {
-    // A credit-blocked producer spins with backoff; it must not allocate.
+    // A blocked producer spins with backoff; it must not allocate.
     bench::ResetAllocCounters();
     bench::SetAllocCounting(true);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     bench::SetAllocCounting(false);
     EXPECT_EQ(bench::GetAllocCounters().allocs, 0u)
-        << "blocked producer allocated while waiting for credits";
+        << "blocked producer allocated while waiting for a free slot";
   }
 
   fabric.Abort();
@@ -142,14 +142,13 @@ TEST(FlowControlTest, AbsentConsumerBackpressuresTheProducerBoundedly) {
 }
 
 TEST(FlowControlTest, SilentLaneHoldsReleasesAndSaturationReadsDegraded) {
-  // Two producers, one consumer. A fills its credit budget; B stays
-  // silent, so nothing is provably safe to release: the reorder buffer
-  // holds A's events, A's credits stay consumed, and the health rule sees
-  // the saturation.
+  // Two producers, one consumer. A fills its lane; B stays silent, so
+  // nothing is provably safe to release: the merge reads A's events where
+  // they lie but frees no slot, and the health rule sees the saturation.
   ExchangeFabric fabric(/*producers=*/2, /*consumers=*/1,
-                        /*lane_capacity=*/16, /*reorder_capacity=*/4);
+                        /*lane_capacity=*/4);
   MergeShard merge(0, fabric.Column(0));
-  EXPECT_EQ(merge.reorder_capacity(), 8u);  // 2 lanes x 4 credits
+  EXPECT_EQ(merge.reorder_capacity(), 8u);  // 2 lanes x 4 slots
   ExchangeEmitter emitter_a(fabric.Row(0), nullptr, &fabric);
   ExchangeEmitter emitter_b(fabric.Row(1), nullptr, &fabric);
 
@@ -160,12 +159,12 @@ TEST(FlowControlTest, SilentLaneHoldsReleasesAndSaturationReadsDegraded) {
   }
   ASSERT_TRUE(merge.Start().ok());
 
-  // The merge pulls everything into the reorder buffer but releases
-  // nothing — lane B's bound proves nothing yet.
-  ASSERT_TRUE(PollUntil([&] { return merge.reorder_buffered() == 4; }));
+  // The merge sees A's head, finds it gated on lane B's bound, and parks:
+  // a gated merge must not spin, and it releases nothing.
+  ASSERT_TRUE(PollUntil([&] { return merge.parks() >= 1; }));
   EXPECT_EQ(merge.stats().events_processed, 0u);
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(), 0u)
-      << "credits must return on release, not on receipt";
+  EXPECT_EQ(merge.reorder_buffered(), 4u)
+      << "slots must free on release, not on read";
 
   // The saturation feeds the /healthz degraded rule (engines fill the row
   // from exactly these two accessors).
@@ -186,13 +185,12 @@ TEST(FlowControlTest, SilentLaneHoldsReleasesAndSaturationReadsDegraded) {
   EXPECT_NE(obs::RenderHealthJson(health).find("\"reorder_capacity\":8"),
             std::string::npos);
 
-  // B's terminal frontier unblocks every release; the credits come home.
+  // B's terminal frontier unblocks every release; the slots come home.
   emitter_b.Broadcast(kExchangeSeqEnd);
   emitter_a.Broadcast(kExchangeSeqEnd);
   ASSERT_TRUE(merge.WaitSafe(kExchangeSeqEnd).ok());
   EXPECT_EQ(merge.stats().events_processed, 4u);
   EXPECT_EQ(merge.reorder_buffered(), 0u);
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(), 4u);
   ASSERT_TRUE(merge.Stop().ok());
 }
 
@@ -207,8 +205,8 @@ TEST(FlowControlTest, DegradedRuleUsesTheDefaultSaturationThreshold) {
   obs::FinalizeHealth(&health, obs::HealthThresholds{});
   EXPECT_EQ(health.state, obs::PipelineHealth::State::kDegraded);
 
-  // Below the threshold, and on pre-flow-control rows (capacity 0), the
-  // rule stays quiet.
+  // Below the threshold, and on rows without a capacity (0), the rule
+  // stays quiet.
   obs::PipelineHealth quiet;
   row.reorder_depth = 5;
   quiet.groups.push_back(row);
@@ -256,7 +254,7 @@ void RegisterGroupQueries(AddFn add, size_t groups) {
   }
 }
 
-TEST(FlowControlTest, DrainUnderCreditStarvationMatchesSequentialEngine) {
+TEST(FlowControlTest, DrainAtTinyLanesMatchesSequentialEngine) {
   constexpr size_t kGroups = 4;
   const EventStream stream =
       CrossSubjectStream(kGroups, /*subjects=*/32, 20000, /*seed=*/7);
@@ -278,10 +276,9 @@ TEST(FlowControlTest, DrainUnderCreditStarvationMatchesSequentialEngine) {
     options.shard_count = stage1;
     options.queue_capacity = 128;
     options.exchange.shard_count = stage2;
-    options.exchange.lane_capacity = 64;
-    // A starvation-sized budget: every producer exhausts its credits
-    // constantly, so the whole run exercises the slow path + liveness.
-    options.exchange.reorder_capacity = 4;
+    // Starvation-sized lanes: every producer fills its lanes constantly,
+    // so the whole run exercises the full-lane wait + liveness.
+    options.exchange.lane_capacity = 4;
     ParallelStreamingEngine engine(options);
     const ShardKeyFn key =
         MakeCorrelationKeyFn(CorrelationKeySpec::ByAttribute("grp")).value();
@@ -308,9 +305,9 @@ TEST(FlowControlTest, DrainUnderCreditStarvationMatchesSequentialEngine) {
   }
 }
 
-TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
+TEST(FlowControlTest, FinishAtTinyLanesSealsThePipeline) {
   // The harshest finalize topology: four producers funneling into ONE
-  // merge shard on two credits per lane. Finish() must post end-of-stream
+  // merge shard on lanes of the smallest capacity, two slots. Finish() must post end-of-stream
   // to every shard before waiting on any (one shard's finalize emissions
   // are only releasable once the others have raised their frontiers in
   // their own finish) — a per-shard wait would deadlock here.
@@ -328,8 +325,7 @@ TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
   options.shard_count = 4;
   options.queue_capacity = 128;
   options.exchange.shard_count = 1;
-  options.exchange.lane_capacity = 16;
-  options.exchange.reorder_capacity = 2;
+  options.exchange.lane_capacity = 2;
   ParallelStreamingEngine engine(options);
   const ShardKeyFn key =
       MakeCorrelationKeyFn(CorrelationKeySpec::Global()).value();
@@ -352,17 +348,16 @@ TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
 }
 
 TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
-  // A stage-2 consumer blocked inside a detection callback: credits run
-  // out, the stage-1 worker blocks in Emit, the shard queue fills, and the
-  // ingest thread finally blocks in the queue push — bounded in-flight
+  // A stage-2 consumer blocked inside a detection callback: its lane
+  // fills, the stage-1 worker blocks in Emit, the shard queue fills, and
+  // the ingest thread finally blocks in the queue push — bounded in-flight
   // events end to end, zero allocations while stalled, and full recovery
   // once the consumer resumes.
   ParallelEngineOptions options;
   options.shard_count = 1;
   options.queue_capacity = 8;
   options.exchange.shard_count = 1;
-  options.exchange.lane_capacity = 8;
-  options.exchange.reorder_capacity = 4;
+  options.exchange.lane_capacity = 4;
   ParallelStreamingEngine engine(options);
   ASSERT_TRUE(
       engine
@@ -388,7 +383,7 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
                   .ok());
   ASSERT_TRUE(engine.Start().ok());
 
-  // CollectHealth must report the hard reorder bound (1 lane x 4 credits).
+  // CollectHealth must report the hard reorder bound (1 lane x 4 slots).
   obs::PipelineHealth wired;
   engine.CollectHealth(&wired, "plain");
   ASSERT_EQ(wired.groups.size(), 1u);
@@ -425,8 +420,8 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
   }
   ASSERT_EQ(stable_rounds, 5) << "ingest never plateaued";
   EXPECT_FALSE(done.load()) << "ingest was never backpressured";
-  // Bounded end to end: queue (8) + lane (8) + reorder budget (4) + the
-  // handful in worker hands — nowhere near the flood size.
+  // Bounded end to end: queue (8) + lane (4) + the handful in worker hands
+  // — nowhere near the flood size.
   EXPECT_LT(pushed.load(), 100u);
 
   if (bench::kAllocHookActive) {

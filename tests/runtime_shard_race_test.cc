@@ -94,7 +94,10 @@ TEST(ShardRaceTest, WorkerSnapshotSurvivesConcurrentScrapes) {
 
   for (uint64_t i = 0; i < 512; ++i) {
     StampedEvent stamped{i, Event(/*type=*/0, static_cast<Timestamp>(i))};
-    ASSERT_TRUE(shard.PushStampedN(&stamped, 1).ok());
+    while (shard.TryPushStampedN(&stamped, 1) == 0) {
+      ASSERT_TRUE(shard.accepting());
+      std::this_thread::yield();
+    }
   }
   ASSERT_TRUE(shard.Drain().ok());
 
