@@ -251,8 +251,9 @@ void MergeShard::PublishSafeBound() {
             : RaceCellRead(lane.lane->queue.Front()).key.primary;
     if (lane_frontier < frontier) frontier = lane_frontier;
   }
-  if (frontier > published_safe_) {
-    published_safe_ = frontier;
+  // order: relaxed; this thread is the only writer, so its own last
+  // store is always visible to it.
+  if (frontier > safe_primary_.load(std::memory_order_relaxed)) {
     // order: release publishes the merged engine state to WaitSafe.
     safe_primary_.store(frontier, std::memory_order_release);
   }

@@ -148,6 +148,12 @@ class MergeShard {
     stop_requested_.store(true, std::memory_order_release);
     doorbell_.Ring();
   }
+  /// Events released to the engine so far: one acquire load, where
+  /// stats() would add a schedule point per counter.
+  uint64_t ModelMerged() const {
+    // order: acquire pairs with MergePass's release, as in stats().
+    return merged_.load(std::memory_order_acquire);
+  }
   /// Post-join leftover absorption, mirroring the tail of Stop(): the
   /// worker may observe the stop request in the same iteration that its
   /// receive pass ran dry, leaving late pushes in the lanes.
@@ -220,8 +226,6 @@ class MergeShard {
   /// Merge frontier: everything with primary < safe_primary_ is done.
   /// Published with release after the engine absorbed the events.
   Atomic<uint64_t> safe_primary_{0};
-  /// The worker's copy of its last safe_primary_ store.
-  uint64_t published_safe_ PLDP_GUARDED_BY(worker_role_) = 0;
   Atomic<uint64_t> merged_{0};
   Atomic<uint64_t> detections_{0};
 

@@ -37,7 +37,6 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
 
   shards_.reserve(n);
   staging_.resize(n);
-  refused_.resize(n, 0);
   // Pre-size the per-shard staging buffers so steady-state batched ingest
   // never grows them: a batch can stage at most its own size per shard, and
   // capacity is retained across OnEventBatch calls (clear() keeps it).
@@ -682,16 +681,12 @@ uint64_t ParallelStreamingEngine::PushRound(bool* progress) {
     const size_t parked = admission_->pending_total();
     admission_->Pump();
     *progress = admission_->pending_total() < parked;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      refused_[i] = admission_->parked(i) ? 1 : 0;
-    }
     return admission_->pending_total() == 0
                ? kExchangeSeqEnd
                : admission_->ClampFloor(kExchangeSeqEnd);
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
     Share& share = staging_[i];
-    refused_[i] = 0;
     if (share.pushed == share.events.size()) continue;
     const size_t n = shards_[i]->TryPushStampedN(
         share.events.data() + share.pushed,
@@ -703,7 +698,6 @@ uint64_t ParallelStreamingEngine::PushRound(bool* progress) {
     share.pushed += n;
     if (n > 0) *progress = true;
     if (share.pushed < share.events.size()) {
-      refused_[i] = 1;
       const uint64_t lowest = share.events[share.pushed].seq;
       if (lowest < floor) floor = lowest;
     }
@@ -735,11 +729,11 @@ Status ParallelStreamingEngine::PushAll() {
       waiting = true;
       PublishProducerFloor(floor);
       for (size_t i = 0; i < shards_.size(); ++i) {
-        if (refused_[i] != 0) shards_[i]->NoteBackpressureWait();
+        if (HoldsBack(i)) shards_[i]->NoteBackpressureWait();
       }
     }
     for (size_t i = 0; i < shards_.size(); ++i) {
-      if (refused_[i] != 0 && !shards_[i]->accepting()) {
+      if (HoldsBack(i) && !shards_[i]->accepting()) {
         PLDP_LOG(Warning) << "shard " << i
                           << ": push after stop, ingest rejected";
         return Status::FailedPrecondition("push after shard stop");
@@ -747,6 +741,11 @@ Status ParallelStreamingEngine::PushAll() {
     }
     backoff.Wait();
   }
+}
+
+bool ParallelStreamingEngine::HoldsBack(size_t shard) const {
+  if (admission_ != nullptr) return admission_->parked(shard);
+  return staging_[shard].pushed < staging_[shard].events.size();
 }
 
 void ParallelStreamingEngine::PublishProducerFloor(uint64_t floor) {

@@ -318,9 +318,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   };
   /// Per-shard shares, reused across ingest calls.
   std::vector<Share> staging_ PLDP_GUARDED_BY(ingest_role_);
-  /// Per-shard flag of the last push round: the shard's queue refused
-  /// part of its share (or, under admission, still holds parked events).
-  std::vector<char> refused_ PLDP_GUARDED_BY(ingest_role_);
   size_t query_count_ = 0;
   /// Global cross-query index -> (lane-group, group-local index).
   std::vector<std::pair<size_t, size_t>> cross_index_;
@@ -363,6 +360,9 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// shard took anything, and publishing the producer floor before it
   /// waits. Fails fast when a shard stops.
   Status PushAll() PLDP_REQUIRES(ingest_role_);
+  /// Whether `shard` still has part of the ingest waiting for its queue:
+  /// an unpushed share, or (under admission) parked events.
+  bool HoldsBack(size_t shard) const PLDP_REQUIRES(ingest_role_);
   /// Stage-1 half of the drain barrier: publishes `bound` as the producer
   /// floor (a shard blocked on a full lane may need an idle peer's
   /// frontier to move), then waits until every shard processed what it

@@ -11,8 +11,14 @@
 // ModelRunWorker seam — Start()/Stop() would spawn a std::thread the
 // cooperative scheduler cannot see.
 //
+// Two clean shapes: the full-lane cycle (the peer row sealed up front, a
+// third emit waits for a slot) and the gated park (the peer row still
+// open while the merge holds lane 0's items, sealed later by a frontier
+// store the parked merge must wake on).
+//
 // Properties: a producer blocked on a full lane eventually unblocks once
-// the merge releases (no deadlock/livelock in any explored schedule), no
+// the merge releases, a merge gated by an open peer row wakes when the
+// peer seals it (no deadlock/livelock in any explored schedule), no
 // slot is reused while the merge still reads it (every in-place read is
 // race-checked through RaceCellRead), every item is at or above its lane's
 // applied frontier (the `lane.bound <= item.key` PLDP_PROTOCOL_ASSERT),
@@ -46,15 +52,10 @@ using check::ModelResult;
 using check::ModelSpawn;
 using check::RunModel;
 
-// 2 producers x 1 consumer, lanes of the smallest capacity (2) — the
-// smallest shape that still covers every protocol transition. Producer row
-// 1 is sealed by one frontier store before the threads start, so lane 0 is
-// read against a closed peer; the third Emit on row 0 genuinely needs a
-// slot the merge frees by releasing an event — the full read/release/free
-// cycle, including the full-lane wait's raise-frontier-then-spin path,
-// whose frontier store races the merge's reads. (The tiny shape keeps the
-// DFS tractable: the schedule space grows exponentially in atomic ops per
-// execution.)
+// 2 producers x 1 consumer, lanes of the smallest capacity (2). (The tiny
+// shape keeps the DFS tractable: the schedule space grows exponentially in
+// atomic ops per execution, which is also why the full-lane and gated
+// shapes are two suites rather than one longer producer.)
 struct Harness {
   Harness()
       : fabric(2, 1, /*lane_capacity=*/2),
@@ -85,6 +86,12 @@ void EmitPastAFullLane(Harness* h) {
 #if !defined(PLDP_CHECK_NEGATIVE_POP_EARLY) && \
     !defined(PLDP_CHECK_NEGATIVE_FRONTIER)
 
+// The full-lane shape: producer row 1 is sealed by one frontier store
+// before the threads start, so lane 0 is read against a closed peer; the
+// third Emit on row 0 genuinely needs a slot the merge frees by releasing
+// an event — the full read/release/free cycle, including the full-lane
+// wait's raise-frontier-then-spin path, whose frontier store races the
+// merge's reads.
 ModelResult RunFullLaneHarness(ModelConfig cfg) {
   return RunModel(cfg, [] {
     auto h = std::make_unique<Harness>();
@@ -114,6 +121,50 @@ TEST(CreditsModel, FullLaneCycleClean) {
   cfg.preemption_bound = 1;
   cfg.max_steps_per_exec = 20000;
   ModelResult r = RunFullLaneHarness(cfg);
+  EXPECT_FALSE(r.failed) << r.report;
+  EXPECT_TRUE(r.exhausted) << "DFS did not exhaust; executions="
+                           << r.executions;
+}
+
+// The gated shape: the peer row is still open when the merge first reads
+// lane 0, so the merge must hold both events, park, and be woken by the
+// peer's sealing frontier store. Producer: emit 1 and 2 into lane 0
+// (capacity 2, so neither waits), then seal the peer row. Between the
+// emits a parked merge is woken by the lane growing past the size it last
+// read; after the seal, only the frontier rise can wake it — the producer
+// waits for both releases before it requests stop, so a park predicate
+// that missed the frontier would leave the merge parked for good, which
+// the checker reports.
+ModelResult RunGatedHarness(ModelConfig cfg) {
+  return RunModel(cfg, [] {
+    auto h = std::make_unique<Harness>();
+
+    int worker = ModelSpawn("merge", [&] { h->shard.ModelRunWorker(); });
+    int producer = ModelSpawn("producer", [&] {
+      for (uint64_t seq = 1; seq <= 2; ++seq) {
+        h->emitter_a.BeginTrigger(seq);
+        PLDP_MODEL_ASSERT(h->emitter_a.Emit(Event(0, 0, 0)).ok());
+      }
+      h->emitter_b.Broadcast(kExchangeSeqEnd);
+      while (h->shard.ModelMerged() < 2) check::ModelYieldSpin();
+      h->shard.ModelRequestStop();
+    });
+
+    ModelJoin(producer);
+    ModelJoin(worker);
+    h->shard.ModelFinalize();
+
+    PLDP_MODEL_ASSERT(h->shard.stats().events_processed == 2);
+    PLDP_MODEL_ASSERT(h->shard.reorder_buffered() == 0);
+  });
+}
+
+TEST(CreditsModel, GatedMergeParksUntilTheFrontierRises) {
+  ModelConfig cfg;
+  cfg.name = "credits-gated";
+  cfg.preemption_bound = 1;
+  cfg.max_steps_per_exec = 20000;
+  ModelResult r = RunGatedHarness(cfg);
   EXPECT_FALSE(r.failed) << r.report;
   EXPECT_TRUE(r.exhausted) << "DFS did not exhaust; executions="
                            << r.executions;

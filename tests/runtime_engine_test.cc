@@ -14,7 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -304,6 +308,75 @@ TEST(ShardTest, PushAfterStopFailsFastInsteadOfSpinning) {
   StampedEvent batch[2] = {{2, Event(0, 3)}, {3, Event(1, 4)}};
   EXPECT_EQ(shard.TryPushStampedN(batch, 2), 0u);
   EXPECT_EQ(shard.stats().events_processed, 1u);
+}
+
+// A blocking ingest call whose shard stops under it must fail fast instead
+// of spinning on the dead worker's queue: OnEventBatch waits in the ingest
+// wait loop on a full queue (the worker is held in a detection callback),
+// Stop() runs on another thread, and the batch returns FailedPrecondition.
+TEST(ParallelEngineTest, IngestWaitingOnAFullQueueFailsFastWhenShardStops) {
+  ParallelEngineOptions options;
+  options.shard_count = 1;
+  options.queue_capacity = 16;
+  ParallelStreamingEngine engine(options);
+  ASSERT_TRUE(engine
+                  .AddQuery(MakePattern("p", {0, 1}, DetectionMode::kSequence),
+                            /*window=*/10)
+                  .ok());
+  std::atomic<bool> in_callback{false};
+  std::atomic<bool> release{false};
+  // Holds the worker in its first detection until released, then keeps it
+  // slow (1 ms per detection): the batch would need ~20 s to land, so the
+  // stop below always overtakes it.
+  ASSERT_TRUE(engine
+                  .SetQueryCallback(0,
+                                    [&](Timestamp) {
+                                      in_callback.store(true);
+                                      while (!release.load()) {
+                                        std::this_thread::yield();
+                                      }
+                                      std::this_thread::sleep_for(
+                                          std::chrono::milliseconds(1));
+                                    })
+                  .ok());
+  ASSERT_TRUE(engine.Start().ok());
+
+  std::vector<Event> batch;
+  for (int i = 0; i < 40000; ++i) {
+    batch.push_back(
+        Event(static_cast<EventTypeId>(i % 2), static_cast<Timestamp>(i)));
+  }
+  std::promise<Status> done;
+  std::future<Status> result = done.get_future();
+  std::thread ingest([&] { done.set_value(
+        engine.OnEventBatch(EventSpan(batch.data(), batch.size()))); });
+
+  // Ingest is in its wait loop once it counted a wait on the full queue
+  // while the worker is held.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!in_callback.load() ||
+         engine.ShardStatsSnapshot()[0].backpressure_waits == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      release.store(true);
+      ingest.join();
+      FAIL() << "ingest never waited on the full queue";
+    }
+    std::this_thread::yield();
+  }
+  release.store(true);
+  ASSERT_TRUE(engine.Stop().ok());
+
+  if (result.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "ingest kept waiting on a stopped shard for 30 s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  ingest.join();
+  const Status s = result.get();
+  EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
+  EXPECT_LT(engine.ShardStatsSnapshot()[0].events_processed, batch.size());
 }
 
 TEST(ShardTest, BulkPushDeliversEverythingInOrder) {
